@@ -67,7 +67,20 @@ def _load_config_doc(args: argparse.Namespace) -> dict | None:
     if not args.config:
         return None
     with open(args.config, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
+            raise ConfigurationError(f"config {args.config}: not a JSON document: {exc}") from None
+
+
+def _dropout_levels(values) -> list[float]:
+    levels = []
+    for value in values:
+        try:
+            levels.append(float(value))
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"dropout level {value!r} is not a number") from None
+    return levels
 
 
 def _build_spec(args: argparse.Namespace, default_trials: int = 1) -> ExperimentSpec:
@@ -137,11 +150,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.p_list is not None:
-        p_list = [float(tok) for tok in args.p_list.split(",") if tok]
+        p_list = _dropout_levels(tok for tok in args.p_list.split(",") if tok)
     else:
         doc = _load_config_doc(args) or {}
-        p_list = [float(p) for p in doc.get("p_list",
-                                            [0.1 * k for k in range(1, 10)])]
+        p_list = _dropout_levels(doc.get("p_list", [0.1 * k for k in range(1, 10)]))
     paths = sweep_sparsity(_build_spec(args, default_trials=100), p_list)
     print(f"wrote {paths['sweep']} {paths['trials']} {paths['manifest']}")
     return 0

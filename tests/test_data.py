@@ -1,14 +1,19 @@
+import hashlib
 import io
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rtblab import (
+    BidLog,
     BidRecord,
     ColumnMap,
     ConfigurationError,
     LabelViolation,
+    LogFormatError,
     MalformedRow,
     NonMonotonicTimestamp,
     SynthConfig,
@@ -17,6 +22,7 @@ from rtblab import (
     parse_canonical,
     serialize_canonical,
 )
+from rtblab.cli import main
 from rtblab.data import CANONICAL_HEADER
 
 
@@ -55,6 +61,8 @@ class TestParse:
         "1,0.01,0.02,70,2,0",     # label not 0/1
         "1,0.01,0.02,70,0",       # too few fields
         "x,0.01,0.02,70,0,0",     # unparseable ts
+        "99999999999999999999,0.01,0.02,70,0,0",    # ts beyond int64
+        "1,0.01,0.02,-99999999999999999999,0,0",    # price beyond int64
     ])
     def test_malformed_rows(self, row):
         with pytest.raises(MalformedRow) as err:
@@ -77,6 +85,114 @@ class TestParse:
         assert lines_read <= 12
 
 
+COLUMNS = ("ts", "pctr", "pcvr", "market_price", "click", "conversion")
+BIG = "99999999999999999999"
+
+_PROB = st.integers(0, 10**6).map(lambda k: f"{k // 10**6}.{k % 10**6:06d}")
+
+
+@st.composite
+def _canonical_rows(draw):
+    rows, ts = [], 0
+    for _ in range(draw(st.integers(0, 8))):
+        ts += draw(st.integers(0, 10**6))
+        click = draw(st.booleans())
+        conversion = click and draw(st.booleans())
+        rows.append([str(ts), draw(_PROB), draw(_PROB), str(draw(st.integers(0, 10**7))),
+                     str(int(click)), str(int(conversion))])
+    return rows
+
+
+def _underscore(field: str) -> str:
+    for i in range(1, len(field)):
+        if field[i - 1].isdigit() and field[i].isdigit():
+            return field[:i] + "_" + field[i:]
+    return field
+
+
+_FIELD_MUTATIONS = (
+    lambda f: f" {f}\t", lambda f: "+" + f, _underscore, lambda f: f + ".0",
+    lambda f: f + "#", lambda f: BIG, lambda f: "-" + BIG, lambda f: "nan",
+    lambda f: "1.5", lambda f: "-0.000001",
+)
+
+
+def _mutated_lines(data, rows):
+    """Canonical lines of ``rows`` after a few random field and line mutations."""
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = data.draw(st.integers(0, len(rows) - 1))
+        kind = data.draw(st.sampled_from(["field", "5 fields", "7 fields", "decreasing ts",
+                                          "conversion without click"]))
+        if kind == "field":
+            j = data.draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = data.draw(st.sampled_from(_FIELD_MUTATIONS))(rows[i][j])
+        elif kind == "5 fields":
+            del rows[i][-1]
+        elif kind == "7 fields":
+            rows[i].append("0")
+        elif kind == "decreasing ts":
+            rows[i - 1], rows[i] = rows[i], rows[i - 1]
+        else:
+            rows[i][4:6] = ["0", "1"]
+    lines = [",".join(r) for r in rows]
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(["", "  ", "\t", "#", "# comment"])))
+    return lines
+
+
+def _outcome(read):
+    """Column dtypes and bytes of the log ``read`` returns, or its error type and message."""
+    try:
+        log = read()
+    except LogFormatError as exc:
+        return type(exc), str(exc)
+    return [(getattr(log, c).dtype.str, getattr(log, c).tobytes()) for c in COLUMNS]
+
+
+def _streamed(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return BidLog.from_records(parse_canonical(fh))
+
+
+class TestFromCsv:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_agrees_with_streaming_parser(self, tmp_path, data):
+        lines = _mutated_lines(data, data.draw(_canonical_rows()))
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = newline.join([CANONICAL_HEADER, *lines])
+        if data.draw(st.booleans()):
+            text += newline
+        path = tmp_path / "log.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(lambda: BidLog.from_csv(path)) == _outcome(lambda: _streamed(path))
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
+    def test_header_only_is_empty_without_warning(self, tmp_path, body):
+        path = tmp_path / "log.csv"
+        path.write_bytes((HEADER + body).encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = BidLog.from_csv(path)
+        assert _outcome(lambda: log) == _outcome(lambda: BidLog.from_records([]))
+
+    def test_well_formed_log_skips_streaming_parser(self, tmp_path, monkeypatch):
+        log = generate_synthetic(SynthConfig(n_records=1000, seed=8))
+        path = tmp_path / "log.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            serialize_canonical(log, fh)
+
+        def refuse(stream):
+            raise AssertionError("fell back to the streaming parser")
+
+        monkeypatch.setattr("rtblab.data.parse_canonical", refuse)
+        assert _outcome(lambda: BidLog.from_csv(path)) == _outcome(lambda: log)
+
+
 class TestRoundTrip:
     def test_serialize_parse_is_identity(self):
         log = generate_synthetic(SynthConfig(n_records=500, seed=7))
@@ -94,6 +210,27 @@ class TestRoundTrip:
         buf2 = io.StringIO()
         serialize_canonical(records, buf2)
         assert buf2.getvalue() == text
+
+    # sha256 of `gen-synthetic` output for GOLDEN_ARGS, pinned when records
+    # were still written one at a time; clipped predictions (1.000000 and
+    # 0.000001) occur in it.
+    GOLDEN_ARGS = ["--n", "20000", "--ctr", "0.7", "--cvr", "0.4", "--price-log-mean", "6.0",
+                   "--price-log-sigma", "1.1", "--pctr-noise", "0.5", "--pcvr-noise", "0.3",
+                   "--seed", "17"]
+    GOLDEN_SHA256 = "13e4500d7cbe235dbc5b18c2f9f59cac8142bc42b664ba3728b300ca0339d099"
+
+    def test_gen_synthetic_output_is_pinned(self, tmp_path):
+        out = tmp_path / "log.csv"
+        assert main(["gen-synthetic", *self.GOLDEN_ARGS, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_SHA256
+
+    def test_log_and_record_list_serialize_alike(self):
+        log = generate_synthetic(SynthConfig(n_records=20_000, ctr_true=0.7, cvr_true=0.4,
+                                             pctr_noise=0.5, pcvr_noise=0.3, seed=17))
+        from_log, from_records = io.StringIO(), io.StringIO()
+        serialize_canonical(log, from_log)
+        serialize_canonical(list(log), from_records)
+        assert from_log.getvalue() == from_records.getvalue()
 
 
 class TestSynthetic:

@@ -238,6 +238,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_out_of_range_integer_in_log_is_one_line_error(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("ts,pctr,pcvr,market_price,click,conversion\n"
+                       "99999999999999999999,0.01,0.02,70,0,0\n")
+        rc = main(["run", "--log", str(log), "--budget", "1000", "--ppc-target", "100",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedRow: line 2: ") and err.count("\n") == 1
+
+    def test_malformed_config_json_is_one_line_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"controllers": [')
+        rc = main(["run", "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
+        assert str(config) in err
+
+    def test_bad_p_list_token_is_one_line_error(self, tmp_path, capsys):
+        rc = main(["sweep-sparsity", "--synthetic", "400", "--budget", "50000",
+                   "--ppc-target", "1800", "--trials", "1", "--p-list", "0.1,x",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
+        assert "'x'" in err
+
     def test_config_file_runs(self, tmp_path):
         spec = small_spec(tmp_path / "out", (ControllerSpec(kind="fixed"),))
         config = tmp_path / "config.json"
