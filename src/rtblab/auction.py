@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, Protocol
 
 import numpy as np
@@ -109,15 +110,30 @@ def run_period(batch: BidLog, u: float, ppc_expected: float,
 def apply_dropout(log: BidLog, p: float, seed: int) -> BidLog:
     """Independently keep each record with probability 1-p (seeded).
 
-    The mask depends only on (len(log), p, seed), so every controller in a
-    trial replays the identical thinned stream.
+    Returns ``log`` itself at p = 0, otherwise a thinned copy gathered by
+    the kept row indices.  Record i is kept when the i-th draw of
+    ``default_rng(seed).random(len(log))`` is >= p.  That mask depends only
+    on (len(log), p, seed), so every controller in a trial replays the
+    identical thinned stream, and the last mask drawn is reused rather
+    than drawn again.
     """
     if not (0.0 <= p <= 1.0):
         raise ConfigurationError("dropout probability must lie in [0, 1]")
     if p == 0.0:
         return log
-    keep = np.random.default_rng(seed).random(len(log)) >= p
-    return log.filter(keep)
+    return log.filter(_kept_indices(len(log), p, seed))
+
+
+@lru_cache(maxsize=1)
+def _kept_indices(n: int, p: float, seed: int) -> np.ndarray:
+    """Ascending indices of the records a (n, p, seed) dropout keeps.
+
+    Cached: the controllers of one sweep cell ask for the same mask in
+    turn.  The array is read-only because every caller shares it.
+    """
+    kept = np.flatnonzero(np.random.default_rng(seed).random(n) >= p)
+    kept.flags.writeable = False
+    return kept
 
 
 class PeriodController(Protocol):

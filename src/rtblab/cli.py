@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .core import ConfigurationError, ConstraintSet
 from .data import (
@@ -68,9 +69,13 @@ def _load_config_doc(args: argparse.Namespace) -> dict | None:
         return None
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
             raise ConfigurationError(f"config {args.config}: not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"config {args.config}: must be a JSON object, "
+                                 f"got {type(doc).__name__}")
+    return doc
 
 
 def _dropout_levels(values) -> list[float]:
@@ -89,9 +94,9 @@ def _build_spec(args: argparse.Namespace, default_trials: int = 1) -> Experiment
         spec = spec_from_dict(doc)
         # flag overrides on top of the file
         if args.out != "out":
-            spec = ExperimentSpec(**{**_spec_kwargs(spec), "out_dir": args.out})
+            spec = replace(spec, out_dir=args.out)
         if args.trials is not None:
-            spec = ExperimentSpec(**{**_spec_kwargs(spec), "trials": args.trials})
+            spec = replace(spec, trials=args.trials)
         return spec
 
     budget = args.budget
@@ -134,14 +139,6 @@ def _build_spec(args: argparse.Namespace, default_trials: int = 1) -> Experiment
     )
 
 
-def _spec_kwargs(spec: ExperimentSpec) -> dict:
-    return {
-        "controllers": spec.controllers, "constraints": spec.constraints, "sim": spec.sim,
-        "log_path": spec.log_path, "synth": spec.synth, "trials": spec.trials,
-        "base_seed": spec.base_seed, "out_dir": spec.out_dir,
-    }
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     paths = run_experiment(_build_spec(args))
     print(f"wrote {paths['metrics']} {paths['trace']} {paths['manifest']}")
@@ -153,7 +150,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         p_list = _dropout_levels(tok for tok in args.p_list.split(",") if tok)
     else:
         doc = _load_config_doc(args) or {}
-        p_list = _dropout_levels(doc.get("p_list", [0.1 * k for k in range(1, 10)]))
+        p_list = doc.get("p_list", [0.1 * k for k in range(1, 10)])
+        if not isinstance(p_list, list):
+            raise ConfigurationError(f"p_list must be a list, got {type(p_list).__name__}")
+        p_list = _dropout_levels(p_list)
     paths = sweep_sparsity(_build_spec(args, default_trials=100), p_list)
     print(f"wrote {paths['sweep']} {paths['trials']} {paths['manifest']}")
     return 0
@@ -187,7 +187,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                         conversion=args.col_conversion)
     delimiter = "\t" if args.delimiter == "tab" else args.delimiter
     n = 0
-    with open(args.infile, "r", encoding="utf-8") as src, \
+    # surrogateescape: a byte that is not UTF-8 fails the field check of its line
+    with open(args.infile, "r", encoding="utf-8", errors="surrogateescape") as src, \
             open(args.out, "w", encoding="utf-8", newline="") as dst:
         for line in convert_ipinyou(src, columns, delimiter, has_header=args.has_header):
             dst.write(line)

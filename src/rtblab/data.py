@@ -228,6 +228,8 @@ class BidLog:
                       self.market_price[lo:hi], self.click[lo:hi], self.conversion[lo:hi])
 
     def filter(self, mask: np.ndarray) -> "BidLog":
+        """The rows selected by a boolean mask of length ``len(self)``, or by
+        an ascending array of row indices, as a copy in log order."""
         return BidLog(self.ts[mask], self.pctr[mask], self.pcvr[mask],
                       self.market_price[mask], self.click[mask], self.conversion[mask])
 
@@ -251,7 +253,8 @@ class BidLog:
         """Read a canonical log file; a file the columnar reader rejects is
         re-read by :func:`parse_canonical`, whose verdict (the log, or the
         first bad row's ``LogFormatError``) is returned."""
-        with open(path, "r", encoding="utf-8") as fh:
+        # surrogateescape: a byte that is not UTF-8 fails the field check of its line
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             log = cls._read_columns(fh)
             if log is None:
                 fh.seek(0)

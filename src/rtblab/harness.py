@@ -202,13 +202,22 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     return out
 
 
+def _section(d: Mapping, name: str) -> Mapping:
+    if name not in d:
+        raise ConfigurationError(f"config has no {name!r} section")
+    if not isinstance(d[name], Mapping):
+        raise ConfigurationError(f"config section {name!r} must be an object, "
+                                 f"got {type(d[name]).__name__}")
+    return d[name]
+
+
 def spec_from_dict(d: Mapping) -> ExperimentSpec:
     if "spec" in d:  # accept a manifest as a config
-        d = d["spec"]
-    log = d["log"]
+        d = _section(d, "spec")
+    log = _section(d, "log")
     log_path = log.get("path")
     synth = SynthConfig(**log["synthetic"]) if "synthetic" in log else None
-    sim_d = d["sim"]
+    sim_d = _section(d, "sim")
     sim = SimConfig(
         budget=int(sim_d["budget"]),
         period_mode=PeriodMode(sim_d.get("period_mode", "count")),
@@ -223,7 +232,7 @@ def spec_from_dict(d: Mapping) -> ExperimentSpec:
     )
     return ExperimentSpec(
         controllers=controllers,
-        constraints=constraints_from_dict(d["constraints"]),
+        constraints=constraints_from_dict(_section(d, "constraints")),
         sim=sim,
         log_path=log_path,
         synth=synth,

@@ -32,6 +32,12 @@ def naive_replay(records, u, ppc_expected, budget):
     return imp, clk, conv, spent
 
 
+def mask_dropout(log: BidLog, p: float, seed: int) -> BidLog:
+    """Dropout by its definition: draw one uniform per record, keep the
+    records whose draw is >= p, boolean-mask every column."""
+    return log.filter(np.random.default_rng(seed).random(len(log)) >= p)
+
+
 def make_log(rows) -> BidLog:
     """rows: iterable of (ts, pctr, pcvr, price, click, conversion)."""
     return BidLog.from_records(

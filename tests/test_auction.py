@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rtblab import (
     AuctionOutcome,
+    BidLog,
     BidRecord,
     ConstraintSet,
     FixedBidController,
@@ -16,7 +17,8 @@ from rtblab import (
     run_campaign,
     run_period,
 )
-from support import make_log, naive_replay, random_log
+from rtblab.auction import _kept_indices
+from support import make_log, mask_dropout, naive_replay, random_log
 
 CONSTRAINTS = ConstraintSet.single_ppc(1800)
 
@@ -255,6 +257,31 @@ class TestDropout:
         kept = apply_dropout(log, p, seed)
         assert len(kept) <= len(log)
         assert set(kept.ts.tolist()) <= set(log.ts.tolist())
+
+    @given(st.integers(0, 300), st.floats(0.0, 1.0), st.integers(0, 2**63))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_boolean_mask_definition(self, n, p, seed):
+        log = random_log(np.random.default_rng(n), n)
+        kept, expected = apply_dropout(log, p, seed), mask_dropout(log, p, seed)
+        for name in BidLog.__slots__:
+            got, want = getattr(kept, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_interleaved_calls_never_return_a_stale_mask(self):
+        logs = {n: random_log(np.random.default_rng(n), n) for n in (50, 80)}
+        calls = [(50, 0.5, 1), (50, 0.5, 1), (50, 0.5, 2), (50, 0.5, 1), (50, 0.25, 1),
+                 (80, 0.25, 1), (50, 0.25, 1), (80, 0.5, 2), (80, 0.5, 2), (50, 0.5, 2)]
+        for n, p, seed in calls:
+            kept = apply_dropout(logs[n], p, seed)
+            assert kept.ts.tobytes() == mask_dropout(logs[n], p, seed).ts.tobytes()
+
+    def test_kept_indices_are_read_only(self):
+        kept = _kept_indices(100, 0.5, 3)
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 1
+        assert _kept_indices(100, 0.5, 3) is kept
 
 
 class TestControllerWiring:

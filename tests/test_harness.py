@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -20,11 +21,17 @@ from rtblab import (
     serialize_canonical,
     sweep_sparsity,
 )
+from rtblab.auction import PeriodMode
 from rtblab.cli import main
 from rtblab.harness import derive_seed, spec_from_dict, spec_to_dict
 from support import naive_replay
 
 CONSTRAINTS = ConstraintSet.single_ppc(1800)
+# The acceptance suite's dense environment, where the controllers have authority.
+DENSE_ENV = dict(ctr_true=0.6, cvr_true=0.8, price_log_mean=8.19, price_log_sigma=0.8,
+                 pctr_noise=0.02, pcvr_noise=0.02)
+DENSE_CONSTRAINTS = ConstraintSet.single_ppc(4400, ppc_expected=15)
+MLP_PID = (ControllerSpec(kind="mlp"), ControllerSpec(kind="pid"))
 
 
 def small_spec(out_dir, controllers=(ControllerSpec(kind="fixed"),), **overrides):
@@ -43,6 +50,10 @@ def small_spec(out_dir, controllers=(ControllerSpec(kind="fixed"),), **overrides
 
 def read(path: Path) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestRunExperiment:
@@ -153,6 +164,28 @@ class TestSweep:
         assert len(seen) == 8
 
 
+class TestDropoutBytePins:
+    """sha256 of outputs on the dropout path, recorded with the original
+    draw-and-boolean-mask dropout; any change to which rows a
+    (len, p, seed) keeps, or to their order, shows here."""
+
+    def test_dense_sweep_outputs(self, tmp_path):
+        spec = small_spec(tmp_path / "out", MLP_PID, constraints=DENSE_CONSTRAINTS,
+                          sim=SimConfig(budget=8_000_000, period_bids=1000),
+                          synth=SynthConfig(n_records=20_000, seed=11, **DENSE_ENV), trials=5)
+        paths = sweep_sparsity(spec, [0.2, 0.5, 0.8])
+        assert sha256(paths["sweep"]) == "73b36ef0312dd27c5d18009ed81b5f4c7010114cdc3c0957f56d1937af7a6c93"
+        assert sha256(paths["trials"]) == "0af112850c53dfbfc8ab6cafbbbe566047e511ef538951dff88b0198b43f8275"
+
+    def test_wall_clock_dropout_run_trace(self, tmp_path):
+        spec = small_spec(tmp_path / "out", MLP_PID, constraints=DENSE_CONSTRAINTS,
+                          sim=SimConfig(budget=10**12, period_mode=PeriodMode.WALL_CLOCK,
+                                        period_ms=50_000, dropout_p=0.3),
+                          synth=SynthConfig(n_records=20_000, seed=11, **DENSE_ENV), trials=2)
+        paths = run_experiment(spec)
+        assert sha256(paths["trace"]) == "e8f68e257e714069af56cc452626e38f0455678c54c14ba40f76dda8fca7b508"
+
+
 class TestAblation:
     def test_rows_in_feature_set_order(self, tmp_path):
         spec = small_spec(tmp_path / "out", (ControllerSpec(kind="mlp"),))
@@ -247,6 +280,47 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: MalformedRow: line 2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, line", [
+        (b"ts,pctr,pcvr,market_price,click,conversion\n1,0.01,0.02,70,0,0\n"
+         b"2,0.0\xff1,0.02,70,0,0\n", 3),
+        (b"ts,pctr\xff,pcvr,market_price,click,conversion\n1,0.01,0.02,70,0,0\n", 1),
+    ], ids=["data-row", "header"])
+    def test_non_utf8_log_is_one_line_error(self, tmp_path, capsys, text, line):
+        log = tmp_path / "log.csv"
+        log.write_bytes(text)
+        rc = main(["run", "--log", str(log), "--budget", "1000", "--ppc-target", "100",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: MalformedRow: line {line}: ") and err.count("\n") == 1
+
+    def test_non_utf8_convert_input_is_one_line_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.tsv"
+        raw.write_bytes(b"10\t0.01\t0.02\t70\t0\t0\n20\t0.0\xff\t0.04\t80\t1\t1\n")
+        rc = main(["convert-ipinyou", "--in", str(raw), "--out", str(tmp_path / "c.csv"),
+                   "--col-ts", "0", "--col-pctr", "1", "--col-pcvr", "2",
+                   "--col-price", "3", "--col-click", "4", "--col-conversion", "5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedRow: line 2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("sweep-sparsity", {"p_list": 0.5}, "p_list must be a list"),
+        ("run", [1], "must be a JSON object"),
+        ("run", {"log": 3, "sim": {"budget": 1}}, "config section 'log' must be an object"),
+        ("run", {"log": {"synthetic": {}}, "sim": [1]}, "config section 'sim' must be an object"),
+        ("run", {"sim": {"budget": 1}}, "config has no 'log' section"),
+    ], ids=["p_list-not-list", "top-level-not-object", "log-not-object", "sim-not-object",
+            "log-missing"])
+    def test_config_of_wrong_shape_is_one_line_error(self, tmp_path, capsys, command, doc, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        rc = main([command, "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
+        assert message in err
 
     def test_malformed_config_json_is_one_line_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
