@@ -7,13 +7,11 @@ baseline, or a fixed multiplier), and drives the whole thing from an
 experiment harness with deterministic, manifest-reproducible outputs.
 """
 from .auction import (
-    AuctionOutcome,
     CampaignResult,
     PeriodMode,
     PeriodTrace,
     SimConfig,
     apply_dropout,
-    resolve_auction,
     run_campaign,
     run_period,
 )
@@ -34,7 +32,6 @@ from .core import (
     KpiConstraint,
     KpiKind,
     PeriodFeedback,
-    adjusted_ecpm,
     compute_metrics,
     feedback_value,
 )
@@ -62,15 +59,14 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuctionOutcome", "BidLog", "BidRecord", "BudgetErrorMode", "CampaignMetrics",
-    "CampaignResult", "ColumnMap", "ConfigurationError", "ConstraintSet",
-    "ControllerSpec", "ControllerState", "ExperimentSpec", "FeatureSet",
-    "FixedBidController", "InsufficientHistory", "KpiConstraint", "KpiKind",
-    "LabelViolation", "LogFormatError", "MalformedRow", "MlpBidController",
-    "MlpControllerConfig", "NonMonotonicTimestamp", "PeriodFeedback", "PeriodMode",
-    "PeriodTrace", "PidConfig", "PidController", "SimConfig", "SynthConfig",
-    "adjusted_ecpm", "apply_dropout", "compute_metrics", "convert_ipinyou",
-    "feedback_value", "generate_synthetic", "parse_canonical", "resolve_auction",
+    "BidLog", "BidRecord", "BudgetErrorMode", "CampaignMetrics", "CampaignResult",
+    "ColumnMap", "ConfigurationError", "ConstraintSet", "ControllerSpec",
+    "ControllerState", "ExperimentSpec", "FeatureSet", "FixedBidController",
+    "InsufficientHistory", "KpiConstraint", "KpiKind", "LabelViolation",
+    "LogFormatError", "MalformedRow", "MlpBidController", "MlpControllerConfig",
+    "NonMonotonicTimestamp", "PeriodFeedback", "PeriodMode", "PeriodTrace", "PidConfig",
+    "PidController", "SimConfig", "SynthConfig", "apply_dropout", "compute_metrics",
+    "convert_ipinyou", "feedback_value", "generate_synthetic", "parse_canonical",
     "run_ablation", "run_campaign", "run_experiment", "run_period",
     "serialize_canonical", "sweep_sparsity",
 ]

@@ -17,7 +17,6 @@ from typing import Iterator, Protocol
 import numpy as np
 
 from .core import (
-    BidRecord,
     CampaignMetrics,
     ConfigurationError,
     ConstraintSet,
@@ -54,26 +53,6 @@ class SimConfig:
             raise ConfigurationError("period_ms must be >= 1")
 
 
-class AuctionOutcome(Enum):
-    WIN = "win"
-    LOSE = "lose"
-    TERMINATED = "terminated"
-
-
-def resolve_auction(record: BidRecord, ecpm: float,
-                    remaining_budget: int) -> tuple[AuctionOutcome, int]:
-    """Resolve one opportunity; returns the outcome and the cost charged.
-
-    No participation once the budget is spent; otherwise a strict
-    second-price comparison (ties lose) paying the market price.
-    """
-    if remaining_budget <= 0:
-        return AuctionOutcome.TERMINATED, 0
-    if ecpm > record.market_price:
-        return AuctionOutcome.WIN, record.market_price
-    return AuctionOutcome.LOSE, 0
-
-
 def run_period(batch: BidLog, u: float, ppc_expected: float,
                spent: int, budget: int) -> PeriodFeedback:
     """Replay one period's batch under a single adjustment value.
@@ -84,7 +63,7 @@ def run_period(batch: BidLog, u: float, ppc_expected: float,
     """
     if spent >= budget or len(batch) == 0:
         return PeriodFeedback()
-    # same left-to-right multiply order as adjusted_ecpm, element for element
+    # same left-to-right multiply order as the test oracle adjusted_ecpm (tests/support.py)
     ecpm = 1000.0 * batch.pctr
     ecpm = ecpm * batch.pcvr
     ecpm = ecpm * ppc_expected
@@ -207,9 +186,8 @@ def run_campaign(log: BidLog, controller: PeriodController,
         if cumulative.cost >= sim.budget:
             terminated = True
             break
-    trajectory = tuple((t.feedback.conversions, t.feedback.cost) for t in trace)
     return CampaignResult(
-        metrics=compute_metrics(cumulative, trajectory),
+        metrics=compute_metrics(cumulative),
         trace=tuple(trace),
         terminated=terminated,
         records=n,

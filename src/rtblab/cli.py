@@ -160,10 +160,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    spec = _build_spec(args)
-    if len(spec.controllers) != 1 or spec.controllers[0].kind != "mlp":
-        raise ConfigurationError("ablation runs the mlp controller only")
-    paths = run_ablation(spec)
+    paths = run_ablation(_build_spec(args))
     print(f"wrote {paths['ablation']} {paths['manifest']}")
     return 0
 

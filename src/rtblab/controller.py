@@ -106,7 +106,6 @@ class ControllerState:
     h_curr: np.ndarray
     h_prev: np.ndarray
     x_curr: np.ndarray
-    x_prev: np.ndarray
     fb_prev: Optional[PeriodFeedback]
     resp_prev: Optional[np.ndarray]
     grad_log_enc: deque = field(default_factory=deque)
@@ -181,7 +180,7 @@ def forward(state: ControllerState, x: np.ndarray, u_max: float) -> tuple[np.nda
     h = state.w_enc @ x
     u = u_max * _sigmoid(float(state.w_dec @ h))
     u = min(max(u, u_max * _U_MARGIN), u_max * (1.0 - _U_MARGIN))
-    state.x_prev, state.x_curr = state.x_curr, x
+    state.x_curr = x
     state.h_prev, state.h_curr = state.h_curr, h
     state.u_prev, state.u_curr = state.u_curr, u
     return h, u
@@ -327,7 +326,6 @@ def init_state(config: MlpControllerConfig, dim: int) -> ControllerState:
         h_curr=zeros_h,
         h_prev=zeros_h.copy(),
         x_curr=np.zeros(dim),
-        x_prev=np.zeros(dim),
         fb_prev=None,
         resp_prev=None,
         grad_log_enc=deque(maxlen=config.grad_window),

@@ -172,11 +172,9 @@ class CampaignMetrics:
     conv: int
     cost: int
     ppc: Optional[float]
-    trajectory: tuple[tuple[int, int], ...] = ()  # per-period (cum conversions, cum cost)
 
 
-def compute_metrics(feedback: PeriodFeedback,
-                    trajectory: tuple[tuple[int, int], ...] = ()) -> CampaignMetrics:
+def compute_metrics(feedback: PeriodFeedback) -> CampaignMetrics:
     """Roll cumulative feedback up into reported campaign metrics."""
     conv = feedback.conversions
     return CampaignMetrics(
@@ -185,7 +183,6 @@ def compute_metrics(feedback: PeriodFeedback,
         conv=conv,
         cost=feedback.cost,
         ppc=feedback.cost / conv if conv > 0 else None,
-        trajectory=trajectory,
     )
 
 
@@ -199,9 +196,3 @@ def feedback_value(constraint: KpiConstraint, feedback: PeriodFeedback) -> float
     if constraint.kind is KpiKind.BUDGET:
         return float(feedback.cost)
     return feedback.cost / max(feedback.conversions, 1)
-
-
-def adjusted_ecpm(record: BidRecord, ppc_expected: float, u: float) -> float:
-    """Bid value for one request: predicted conversion value per mille,
-    scaled by the controller's adjustment ``u``."""
-    return 1000.0 * record.pctr * record.pcvr * ppc_expected * u

@@ -9,20 +9,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .auction import CampaignResult, PeriodMode, SimConfig, run_campaign
 from .baselines import FixedBidController, PidConfig, PidController
-from .controller import (
-    BudgetErrorMode,
-    FeatureSet,
-    MlpBidController,
-    MlpControllerConfig,
-)
+from .controller import BudgetErrorMode, FeatureSet, MlpBidController, MlpControllerConfig
 from .core import ConfigurationError, ConstraintSet, KpiConstraint, KpiKind
 from .data import BidLog, SynthConfig, generate_synthetic
 
@@ -40,6 +36,18 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+@contextmanager
+def _fields_of(where: str) -> Iterator[None]:
+    """Report a missing, unknown or wrongly typed field as a
+    ConfigurationError that names where it sits."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigurationError(f"{where}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ControllerSpec:
     kind: str
@@ -49,6 +57,8 @@ class ControllerSpec:
     def __post_init__(self) -> None:
         if self.kind not in CONTROLLER_KINDS:
             raise ConfigurationError(f"unknown controller kind {self.kind!r}, expected one of {CONTROLLER_KINDS}")
+        if not isinstance(self.params, Mapping):
+            raise ConfigurationError(f"controller params must be an object, got {type(self.params).__name__}")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 
@@ -69,22 +79,28 @@ class ExperimentSpec:
             raise ConfigurationError("specify exactly one log source (log_path or synth)")
         if not self.controllers:
             raise ConfigurationError("need at least one controller")
+        names = [c.name for c in self.controllers]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigurationError(f"controller name {name!r} is used more than once; "
+                                         f"give each controller a distinct name (config 'name')")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
 
 
 def build_controller(cspec: ControllerSpec, constraints: ConstraintSet, seed: int):
     params = dict(cspec.params)
-    if cspec.kind == "mlp":
-        params.pop("rng_seed", None)
-        if "feature_set" in params:
-            params["feature_set"] = FeatureSet(params["feature_set"])
-        if "budget_error_mode" in params:
-            params["budget_error_mode"] = BudgetErrorMode(params["budget_error_mode"])
-        return MlpBidController(constraints, MlpControllerConfig(rng_seed=seed, **params))
-    if cspec.kind == "pid":
-        return PidController(constraints, PidConfig(**params))
-    return FixedBidController(**params) if params else FixedBidController()
+    with _fields_of(f"controller {cspec.name!r}"):
+        if cspec.kind == "mlp":
+            params.pop("rng_seed", None)
+            if "feature_set" in params:
+                params["feature_set"] = FeatureSet(params["feature_set"])
+            if "budget_error_mode" in params:
+                params["budget_error_mode"] = BudgetErrorMode(params["budget_error_mode"])
+            return MlpBidController(constraints, MlpControllerConfig(rng_seed=seed, **params))
+        if cspec.kind == "pid":
+            return PidController(constraints, PidConfig(**params))
+        return FixedBidController(**params)
 
 
 def load_log(spec: ExperimentSpec) -> BidLog:
@@ -97,19 +113,37 @@ def load_log(spec: ExperimentSpec) -> BidLog:
     return generate_synthetic(spec.synth)
 
 
-def _controller_seed(spec: ExperimentSpec, cspec: ControllerSpec, trial: int, idx: int) -> int:
-    base = cspec.params.get("rng_seed", spec.base_seed)
-    return derive_seed(int(base), trial, idx)
-
-
-def _trial_sim(spec: ExperimentSpec, trial: int) -> SimConfig:
-    if spec.sim.dropout_p == 0.0:
-        return spec.sim
-    return replace(spec.sim, dropout_seed=derive_seed(spec.base_seed, trial))
-
-
 # ---------------------------------------------------------------------------
-# CSV plumbing
+# The cell loop and its writer
+
+@dataclass(frozen=True, eq=False)  # by identity: a level listed twice is two conditions
+class _Condition:
+    label: object                      # the row label: None, a dropout level, a feature set
+    dropout_p: float
+    controllers: tuple[ControllerSpec, ...]
+
+
+def _cells(spec: ExperimentSpec, conditions: Sequence[_Condition]) -> Iterator[tuple]:
+    """Replay every cell and yield ``(condition, trial, cspec, result)`` in
+    condition -> trial -> controller order.
+
+    The dropout mask of a trial is seeded by (base_seed, trial) alone, so
+    all controllers of a trial, and all levels of a sweep, share its
+    uniforms.  The controller at position ``idx`` is seeded by
+    (``params.rng_seed`` if given, else base_seed, trial, idx), so the
+    ablation reuses the same seeds across feature sets.  The controllers
+    of one (condition, trial) run back to back to share the cached mask.
+    """
+    log = load_log(spec)
+    for cond in conditions:
+        for trial in range(spec.trials):
+            sim = replace(spec.sim, dropout_p=cond.dropout_p,
+                          dropout_seed=derive_seed(spec.base_seed, trial))
+            for idx, cspec in enumerate(cond.controllers):
+                seed = derive_seed(int(cspec.params.get("rng_seed", spec.base_seed)), trial, idx)
+                controller = build_controller(cspec, spec.constraints, seed)
+                yield cond, trial, cspec, run_campaign(log, controller, spec.constraints, sim)
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -126,7 +160,22 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-_ERROR_COLUMNS = {KpiKind.PPC_TARGET: "e_ppc", KpiKind.BUDGET: "e_budget"}
+def _emit(spec: ExperimentSpec, command: str, manifest_name: str,
+          tables: Mapping[str, tuple], extra: Mapping | None = None) -> dict[str, Path]:
+    """Write each table ``key: (file name, header, rows)`` and then the
+    manifest under ``spec.out_dir``; return the paths by key."""
+    out = Path(spec.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for key, (file_name, header, rows) in tables.items():
+        paths[key] = out / file_name
+        _write_csv(paths[key], header, rows)
+    paths["manifest"] = out / manifest_name
+    doc = {"command": command, "spec": spec_to_dict(spec), **(extra or {})}
+    with open(paths["manifest"], "w", encoding="utf-8", newline="") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return paths
 
 
 def _trace_rows(name: str, trial: int, result: CampaignResult,
@@ -143,9 +192,11 @@ def _trace_rows(name: str, trial: int, result: CampaignResult,
     return rows
 
 
+_METRIC_COLUMNS = ["imp", "clk", "conv", "cost", "ppc"]  # CampaignMetrics fields
+
+
 def _metrics_row(result: CampaignResult) -> list:
-    m = result.metrics
-    return [m.imp, m.clk, m.conv, m.cost, m.ppc]
+    return [getattr(result.metrics, name) for name in _METRIC_COLUMNS]
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +221,13 @@ def constraints_from_dict(d: Mapping) -> ConstraintSet:
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    sim = spec.sim
     out: dict = {
         "controllers": [
             {"kind": c.kind, "name": c.name, "params": dict(c.params)}
             for c in spec.controllers
         ],
         "constraints": constraints_to_dict(spec.constraints),
-        "sim": {
-            "budget": sim.budget,
-            "period_mode": sim.period_mode.value,
-            "period_bids": sim.period_bids,
-            "period_ms": sim.period_ms,
-            "dropout_p": sim.dropout_p,
-            "dropout_seed": sim.dropout_seed,
-        },
+        "sim": {**asdict(spec.sim), "period_mode": spec.sim.period_mode.value},
         "trials": spec.trials,
         "base_seed": spec.base_seed,
         "out_dir": spec.out_dir,
@@ -193,20 +236,15 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
         out["log"] = {"path": spec.log_path}
     else:
         assert spec.synth is not None
-        s = spec.synth
-        out["log"] = {"synthetic": {
-            "n_records": s.n_records, "ctr_true": s.ctr_true, "cvr_true": s.cvr_true,
-            "price_log_mean": s.price_log_mean, "price_log_sigma": s.price_log_sigma,
-            "pctr_noise": s.pctr_noise, "pcvr_noise": s.pcvr_noise, "seed": s.seed,
-        }}
+        out["log"] = {"synthetic": asdict(spec.synth)}
     return out
 
 
-def _section(d: Mapping, name: str) -> Mapping:
+def _section(d: Mapping, name: str, kind: type = Mapping, what: str = "an object"):
     if name not in d:
         raise ConfigurationError(f"config has no {name!r} section")
-    if not isinstance(d[name], Mapping):
-        raise ConfigurationError(f"config section {name!r} must be an object, "
+    if not isinstance(d[name], kind):
+        raise ConfigurationError(f"config section {name!r} must be {what}, "
                                  f"got {type(d[name]).__name__}")
     return d[name]
 
@@ -215,40 +253,37 @@ def spec_from_dict(d: Mapping) -> ExperimentSpec:
     if "spec" in d:  # accept a manifest as a config
         d = _section(d, "spec")
     log = _section(d, "log")
-    log_path = log.get("path")
-    synth = SynthConfig(**log["synthetic"]) if "synthetic" in log else None
+    with _fields_of("config section 'log'"):
+        synth = SynthConfig(**log["synthetic"]) if "synthetic" in log else None
     sim_d = _section(d, "sim")
-    sim = SimConfig(
-        budget=int(sim_d["budget"]),
-        period_mode=PeriodMode(sim_d.get("period_mode", "count")),
-        period_bids=int(sim_d.get("period_bids", 1000)),
-        period_ms=int(sim_d.get("period_ms", 900_000)),
-        dropout_p=float(sim_d.get("dropout_p", 0.0)),
-        dropout_seed=int(sim_d.get("dropout_seed", 0)),
-    )
-    controllers = tuple(
-        ControllerSpec(kind=c["kind"], name=c.get("name", ""), params=c.get("params", {}))
-        for c in d["controllers"]
-    )
+    with _fields_of("config section 'sim'"):
+        sim = SimConfig(
+            budget=int(sim_d["budget"]),
+            period_mode=PeriodMode(sim_d.get("period_mode", "count")),
+            period_bids=int(sim_d.get("period_bids", 1000)),
+            period_ms=int(sim_d.get("period_ms", 900_000)),
+            dropout_p=float(sim_d.get("dropout_p", 0.0)),
+            dropout_seed=int(sim_d.get("dropout_seed", 0)),
+        )
+    controllers = []
+    for i, c in enumerate(_section(d, "controllers", list, "a list")):
+        with _fields_of(f"config controller {i}"):
+            controllers.append(ControllerSpec(kind=c["kind"], name=c.get("name", ""),
+                                              params=c.get("params", {})))
+    with _fields_of("config section 'constraints'"):
+        constraints = constraints_from_dict(_section(d, "constraints"))
+    with _fields_of("config fields 'trials' and 'base_seed' must be integers"):
+        trials, base_seed = int(d.get("trials", 1)), int(d.get("base_seed", 0))
     return ExperimentSpec(
-        controllers=controllers,
-        constraints=constraints_from_dict(_section(d, "constraints")),
+        controllers=tuple(controllers),
+        constraints=constraints,
         sim=sim,
-        log_path=log_path,
+        log_path=log.get("path"),
         synth=synth,
-        trials=int(d.get("trials", 1)),
-        base_seed=int(d.get("base_seed", 0)),
+        trials=trials,
+        base_seed=base_seed,
         out_dir=d.get("out_dir", "out"),
     )
-
-
-def _write_manifest(path: Path, command: str, spec: ExperimentSpec, extra: dict | None = None) -> None:
-    doc = {"command": command, "spec": spec_to_dict(spec)}
-    if extra:
-        doc.update(extra)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -257,80 +292,45 @@ def _write_manifest(path: Path, command: str, spec: ExperimentSpec, extra: dict 
 def run_experiment(spec: ExperimentSpec) -> dict[str, Path]:
     """Run every configured controller over the log; write metrics, per-period
     traces, and the manifest."""
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    log = load_log(spec)
     metrics_rows: list[list] = []
     trace_rows: list[list] = []
-    for trial in range(spec.trials):
-        sim = _trial_sim(spec, trial)
-        for idx, cspec in enumerate(spec.controllers):
-            controller = build_controller(cspec, spec.constraints,
-                                          _controller_seed(spec, cspec, trial, idx))
-            result = run_campaign(log, controller, spec.constraints, sim)
-            metrics_rows.append([cspec.name, trial] + _metrics_row(result))
-            trace_rows.extend(_trace_rows(cspec.name, trial, result, spec.constraints))
-    paths = {
-        "metrics": out / "metrics.csv",
-        "trace": out / "trace.csv",
-        "manifest": out / "manifest.json",
-    }
-    _write_csv(paths["metrics"],
-               ["controller", "trial", "imp", "clk", "conv", "cost", "ppc"], metrics_rows)
-    _write_csv(paths["trace"],
-               ["controller", "trial", "period", "u", "e_ppc", "e_budget", "j", "conv", "cost"],
-               trace_rows)
-    _write_manifest(paths["manifest"], "run", spec)
-    return paths
+    condition = _Condition(None, spec.sim.dropout_p, spec.controllers)
+    for _, trial, cspec, result in _cells(spec, [condition]):
+        metrics_rows.append([cspec.name, trial] + _metrics_row(result))
+        trace_rows.extend(_trace_rows(cspec.name, trial, result, spec.constraints))
+    return _emit(spec, "run", "manifest.json", {
+        "metrics": ("metrics.csv", ["controller", "trial", *_METRIC_COLUMNS], metrics_rows),
+        "trace": ("trace.csv",
+                  ["controller", "trial", "period", "u", "e_ppc", "e_budget", "j", "conv", "cost"],
+                  trace_rows),
+    })
 
 
 def sweep_sparsity(spec: ExperimentSpec, p_list: Sequence[float]) -> dict[str, Path]:
-    """Replay the experiment across dropout levels with repeated trials.
-
-    Within a trial the dropout mask is seeded by (base_seed, trial) only, so
-    every controller sees the same thinned stream and the same trial shares
-    underlying randomness across dropout levels.
-    """
+    """Replay the experiment across dropout levels with repeated trials and
+    summarize conversions per (level, controller) with a 95% interval."""
     for p in p_list:
         if not (0.0 <= p <= 1.0):
             raise ConfigurationError(f"dropout level {p} outside [0, 1]")
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    log = load_log(spec)
     raw_rows: list[list] = []
+    conv_by_cell: dict[tuple[_Condition, str], list[int]] = {}
+    conditions = [_Condition(float(p), float(p), spec.controllers) for p in p_list]
+    for cond, trial, cspec, result in _cells(spec, conditions):
+        conv_by_cell.setdefault((cond, cspec.name), []).append(result.metrics.conv)
+        raw_rows.append([cspec.name, cond.label, trial, result.records] + _metrics_row(result))
     summary_rows: list[list] = []
-    for p in p_list:
-        per_controller: dict[str, list[int]] = {c.name: [] for c in spec.controllers}
-        for trial in range(spec.trials):
-            mask_seed = derive_seed(spec.base_seed, trial)
-            sim = replace(spec.sim, dropout_p=float(p), dropout_seed=mask_seed)
-            for idx, cspec in enumerate(spec.controllers):
-                controller = build_controller(cspec, spec.constraints,
-                                              _controller_seed(spec, cspec, trial, idx))
-                result = run_campaign(log, controller, spec.constraints, sim)
-                per_controller[cspec.name].append(result.metrics.conv)
-                raw_rows.append([cspec.name, float(p), trial, result.records]
-                                + _metrics_row(result))
-        for cspec in spec.controllers:
-            conv = np.array(per_controller[cspec.name], dtype=float)
-            mean = float(conv.mean())
-            s = float(conv.std(ddof=1)) if len(conv) > 1 else 0.0
-            half = 1.96 * s / math.sqrt(len(conv))
-            summary_rows.append([cspec.name, float(p), len(conv), mean,
-                                 mean - half, mean + half])
-    paths = {
-        "sweep": out / "sweep.csv",
-        "trials": out / "sweep_trials.csv",
-        "manifest": out / "sweep_manifest.json",
-    }
-    _write_csv(paths["sweep"],
-               ["controller", "p", "trials", "mean_conv", "ci_low", "ci_high"], summary_rows)
-    _write_csv(paths["trials"],
-               ["controller", "p", "trial", "records", "imp", "clk", "conv", "cost", "ppc"],
-               raw_rows)
-    _write_manifest(paths["manifest"], "sweep-sparsity", spec,
-                    {"p_list": [float(p) for p in p_list]})
-    return paths
+    for (cond, name), convs in conv_by_cell.items():
+        conv = np.array(convs, dtype=float)
+        mean = float(conv.mean())
+        s = float(conv.std(ddof=1)) if len(conv) > 1 else 0.0
+        half = 1.96 * s / math.sqrt(len(conv))
+        summary_rows.append([name, cond.label, len(conv), mean, mean - half, mean + half])
+    return _emit(spec, "sweep-sparsity", "sweep_manifest.json", {
+        "sweep": ("sweep.csv", ["controller", "p", "trials", "mean_conv", "ci_low", "ci_high"],
+                  summary_rows),
+        "trials": ("sweep_trials.csv",
+                   ["controller", "p", "trial", "records", *_METRIC_COLUMNS], raw_rows),
+    }, {"p_list": [float(p) for p in p_list]})
 
 
 ABLATION_ORDER = (FeatureSet.NONE, FeatureSet.POSTERIOR, FeatureSet.PRIOR, FeatureSet.FULL)
@@ -340,26 +340,14 @@ def run_ablation(spec: ExperimentSpec) -> dict[str, Path]:
     """Run the same experiment under each feature set with identical seeds."""
     if len(spec.controllers) != 1 or spec.controllers[0].kind != "mlp":
         raise ConfigurationError("ablation requires exactly one mlp controller")
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    log = load_log(spec)
     base = spec.controllers[0]
-    rows: list[list] = []
-    for feature_set in ABLATION_ORDER:
-        params = dict(base.params)
-        params["feature_set"] = feature_set.value
-        cspec = ControllerSpec(kind="mlp", name=base.name, params=params)
-        for trial in range(spec.trials):
-            sim = _trial_sim(spec, trial)
-            controller = build_controller(cspec, spec.constraints,
-                                          _controller_seed(spec, base, trial, 0))
-            result = run_campaign(log, controller, spec.constraints, sim)
-            rows.append([feature_set.value, trial] + _metrics_row(result))
-    paths = {
-        "ablation": out / "ablation.csv",
-        "manifest": out / "ablation_manifest.json",
-    }
-    _write_csv(paths["ablation"],
-               ["feature_set", "trial", "imp", "clk", "conv", "cost", "ppc"], rows)
-    _write_manifest(paths["manifest"], "ablation", spec)
-    return paths
+    conditions = [
+        _Condition(fs.value, spec.sim.dropout_p,
+                   (replace(base, params={**base.params, "feature_set": fs.value}),))
+        for fs in ABLATION_ORDER
+    ]
+    rows = [[cond.label, trial] + _metrics_row(result)
+            for cond, trial, _, result in _cells(spec, conditions)]
+    return _emit(spec, "ablation", "ablation_manifest.json", {
+        "ablation": ("ablation.csv", ["feature_set", "trial", *_METRIC_COLUMNS], rows),
+    })

@@ -6,9 +6,37 @@ vectorized simulator it checks.
 """
 from __future__ import annotations
 
+from enum import Enum
+
 import numpy as np
 
 from rtblab import BidLog, BidRecord, PeriodFeedback
+
+
+def adjusted_ecpm(record: BidRecord, ppc_expected: float, u: float) -> float:
+    """Bid value for one request: predicted conversion value per mille,
+    scaled by the controller's adjustment ``u``."""
+    return 1000.0 * record.pctr * record.pcvr * ppc_expected * u
+
+
+class AuctionOutcome(Enum):
+    WIN = "win"
+    LOSE = "lose"
+    TERMINATED = "terminated"
+
+
+def resolve_auction(record: BidRecord, ecpm: float,
+                    remaining_budget: int) -> tuple[AuctionOutcome, int]:
+    """Resolve one opportunity; returns the outcome and the cost charged.
+
+    No participation once the budget is spent; otherwise a strict
+    second-price comparison (ties lose) paying the market price.
+    """
+    if remaining_budget <= 0:
+        return AuctionOutcome.TERMINATED, 0
+    if ecpm > record.market_price:
+        return AuctionOutcome.WIN, record.market_price
+    return AuctionOutcome.LOSE, 0
 
 
 def naive_replay(records, u, ppc_expected, budget):

@@ -110,7 +110,7 @@ def test_02_one_dimensional_chain_oracle():
         x = rng.normal(size=2)
         state = ControllerState(
             w_enc=np.array([[0.1, 0.1]]), w_dec=np.array([wd]), u_curr=u, u_prev=up,
-            h_curr=np.array([h]), h_prev=np.array([hp]), x_curr=x.copy(), x_prev=x.copy(),
+            h_curr=np.array([h]), h_prev=np.array([hp]), x_curr=x.copy(),
             fb_prev=PeriodFeedback(conversions=conv_prev, cost=cost_prev),
             resp_prev=np.array([resp_prev]),
             grad_log_enc=deque(maxlen=4), grad_log_dec=deque(maxlen=4), period_index=1)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtblab import (
-    AuctionOutcome,
     BidLog,
     BidRecord,
     ConstraintSet,
@@ -13,12 +12,18 @@ from rtblab import (
     PeriodMode,
     SimConfig,
     apply_dropout,
-    resolve_auction,
     run_campaign,
     run_period,
 )
 from rtblab.auction import _kept_indices
-from support import make_log, mask_dropout, naive_replay, random_log
+from support import (
+    AuctionOutcome,
+    make_log,
+    mask_dropout,
+    naive_replay,
+    random_log,
+    resolve_auction,
+)
 
 CONSTRAINTS = ConstraintSet.single_ppc(1800)
 
@@ -172,14 +177,6 @@ class TestRunCampaign:
         for t in result.trace:
             fb = t.feedback
             assert fb.impressions >= fb.clicks >= fb.conversions
-
-    def test_trajectory_matches_trace(self):
-        rng = np.random.default_rng(31)
-        log = random_log(rng, 500)
-        result = run_campaign(log, FixedBidController(1.0), CONSTRAINTS,
-                              SimConfig(budget=10_000, period_bids=50))
-        assert result.metrics.trajectory == tuple(
-            (t.feedback.conversions, t.feedback.cost) for t in result.trace)
 
 
 class TestBudgetSafety:

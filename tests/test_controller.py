@@ -42,7 +42,7 @@ MULTI = ConstraintSet.ppc_and_budget(1800, 100_000)
 
 
 def make_state(w_enc, w_dec, u_curr=0.5, u_prev=0.5, h_curr=None, h_prev=None,
-               x_curr=None, x_prev=None, fb_prev=None, resp_prev=None,
+               x_curr=None, fb_prev=None, resp_prev=None,
                period_index=0, window=4):
     w_enc = np.asarray(w_enc, dtype=float)
     w_dec = np.asarray(w_dec, dtype=float)
@@ -54,7 +54,6 @@ def make_state(w_enc, w_dec, u_curr=0.5, u_prev=0.5, h_curr=None, h_prev=None,
         h_curr=np.asarray(h_curr, float) if h_curr is not None else zeros_h,
         h_prev=np.asarray(h_prev, float) if h_prev is not None else zeros_h.copy(),
         x_curr=np.asarray(x_curr, float) if x_curr is not None else zeros_x,
-        x_prev=np.asarray(x_prev, float) if x_prev is not None else zeros_x.copy(),
         fb_prev=fb_prev,
         resp_prev=np.asarray(resp_prev, float) if resp_prev is not None else None,
         grad_log_enc=deque(maxlen=window), grad_log_dec=deque(maxlen=window),
@@ -121,7 +120,7 @@ class TestForward:
         h2, u2 = forward(state, x2, u_max=1.0)
         assert state.u_prev == u1 and state.u_curr == u2
         assert np.array_equal(state.h_prev, h1) and np.array_equal(state.h_curr, h2)
-        assert np.array_equal(state.x_prev, x1) and np.array_equal(state.x_curr, x2)
+        assert np.array_equal(state.x_curr, x2)
 
     def test_dimension_mismatch(self):
         state = make_state(np.eye(2), [0.0, 0.0])

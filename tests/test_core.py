@@ -9,11 +9,10 @@ from rtblab import (
     KpiConstraint,
     KpiKind,
     PeriodFeedback,
-    adjusted_ecpm,
     compute_metrics,
     feedback_value,
 )
-from support import feedback
+from support import adjusted_ecpm, feedback
 
 
 class TestComputeMetrics:

@@ -21,7 +21,7 @@ from rtblab import (
     serialize_canonical,
     sweep_sparsity,
 )
-from rtblab.auction import PeriodMode
+from rtblab.auction import PeriodMode, _kept_indices
 from rtblab.cli import main
 from rtblab.harness import derive_seed, spec_from_dict, spec_to_dict
 from support import naive_replay
@@ -32,6 +32,13 @@ DENSE_ENV = dict(ctr_true=0.6, cvr_true=0.8, price_log_mean=8.19, price_log_sigm
                  pctr_noise=0.02, pcvr_noise=0.02)
 DENSE_CONSTRAINTS = ConstraintSet.single_ppc(4400, ppc_expected=15)
 MLP_PID = (ControllerSpec(kind="mlp"), ControllerSpec(kind="pid"))
+# A config that runs; the error cases below replace one part of it.
+VALID_CONFIG = {
+    "log": {"synthetic": {"n_records": 400}},
+    "sim": {"budget": 50_000},
+    "controllers": [{"kind": "fixed"}],
+    "constraints": {"ppc_expected": 1800, "kpis": [{"kind": "ppc_target", "target": 1800}]},
+}
 
 
 def small_spec(out_dir, controllers=(ControllerSpec(kind="fixed"),), **overrides):
@@ -163,6 +170,19 @@ class TestSweep:
             seen[key] = row[3]
         assert len(seen) == 8
 
+    def test_one_mask_draw_per_level_and_trial(self, tmp_path):
+        # The controllers of a (level, trial) run back to back and share
+        # the cached mask; an order that splits them apart gives the same
+        # per-cell results but draws the mask again for every controller.
+        controllers = (ControllerSpec(kind="mlp"), ControllerSpec(kind="pid"),
+                       ControllerSpec(kind="fixed"))
+        levels, trials = [0.3, 0.7, 0.3], 4
+        _kept_indices.cache_clear()
+        sweep_sparsity(small_spec(tmp_path / "out", controllers, trials=trials), levels)
+        info = _kept_indices.cache_info()
+        assert info.misses == len(levels) * trials
+        assert info.hits == len(levels) * trials * (len(controllers) - 1)
+
 
 class TestDropoutBytePins:
     """sha256 of outputs on the dropout path, recorded with the original
@@ -184,6 +204,49 @@ class TestDropoutBytePins:
                           synth=SynthConfig(n_records=20_000, seed=11, **DENSE_ENV), trials=2)
         paths = run_experiment(spec)
         assert sha256(paths["trace"]) == "e8f68e257e714069af56cc452626e38f0455678c54c14ba40f76dda8fca7b508"
+
+
+class TestEngineBytePins:
+    """sha256 of every output kind of the three drivers, manifests
+    included, recorded while each driver still had its own loop.  A
+    manifest embeds ``out_dir``, so each test writes under a fixed
+    relative directory."""
+
+    @pytest.fixture(autouse=True)
+    def _in_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @staticmethod
+    def dense_spec(out_dir, controllers, **overrides):
+        kwargs = dict(constraints=ConstraintSet.ppc_and_budget(4400, 9_000_000, ppc_expected=15),
+                      sim=SimConfig(budget=9_000_000, period_bids=500, dropout_p=0.3),
+                      synth=SynthConfig(n_records=20_000, seed=11, **DENSE_ENV), trials=3)
+        kwargs.update(overrides)
+        return small_spec(out_dir, controllers, **kwargs)
+
+    def test_run_outputs(self):
+        controllers = MLP_PID + (ControllerSpec(kind="fixed", name="fixed70",
+                                                params={"u_const": 0.7}),)
+        paths = run_experiment(self.dense_spec("pinned/run", controllers))
+        assert sha256(paths["metrics"]) == "379320e53ac9a947abead500a9898521c4955f3118f8071fd1eedb33ff4f159c"
+        assert sha256(paths["trace"]) == "dc27eac553419dc07f8fa8d2ad5d8fd5c8c65c5a62bf28713d279596e2cd45e9"
+        assert sha256(paths["manifest"]) == "74051de8f2116b7ec46124e2f48a73da21cda184920e36ace472bb5b62577feb"
+
+    def test_ablation_outputs(self):
+        mlp = ControllerSpec(kind="mlp", params={"rng_seed": 7, "hidden_dim": 6})
+        spec = self.dense_spec("pinned/ablation", (mlp,), trials=2,
+                               sim=SimConfig(budget=9_000_000, period_bids=500, dropout_p=0.4))
+        paths = run_ablation(spec)
+        assert sha256(paths["ablation"]) == "0b58f22b62ebe60908ece1605e62a8d6fafc4a3ee45d45a49d81097a4e1ccb4c"
+        assert sha256(paths["manifest"]) == "fbefb80f041c3119b3bdfe962a983b23b6c7f1c88bdde26e45563bfc9dd795cd"
+
+    def test_sweep_with_repeated_level(self):
+        # a repeated level stays two summary rows
+        paths = sweep_sparsity(self.dense_spec("pinned/sweep", MLP_PID, trials=2),
+                               [0.5, 0.0, 0.5])
+        assert sha256(paths["sweep"]) == "43f7f84f27713845cf20c3ff376c1b7922d3292933f0a5acf0e21f9b6ec82de6"
+        assert sha256(paths["trials"]) == "e32f2c54fa3b1e605427c95eb2c221526379d3466579e5b3863f854ae9d10ebf"
+        assert sha256(paths["manifest"]) == "5bdc8fb38590c3f74b6e8690d081005bad0305c69ecb1dc108bf16b9e2ee3369"
 
 
 class TestAblation:
@@ -311,9 +374,25 @@ class TestCli:
         ("run", {"log": 3, "sim": {"budget": 1}}, "config section 'log' must be an object"),
         ("run", {"log": {"synthetic": {}}, "sim": [1]}, "config section 'sim' must be an object"),
         ("run", {"sim": {"budget": 1}}, "config has no 'log' section"),
+        ("run", {**VALID_CONFIG, "sim": {"budget": "x"}}, "config section 'sim': invalid literal"),
+        ("run", {**VALID_CONFIG, "controllers": 7}, "config section 'controllers' must be a list"),
+        ("run", {**VALID_CONFIG, "trials": "two"}, "'trials' and 'base_seed' must be integers"),
+        ("run", {**VALID_CONFIG, "log": {"synthetic": {"n_rows": 5}}},
+         "config section 'log': SynthConfig.__init__() got an unexpected keyword argument 'n_rows'"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp", "params": {"hiden_dim": 4}}]},
+         "controller 'mlp': MlpControllerConfig.__init__() got an unexpected keyword argument"),
+        ("run", {**VALID_CONFIG, "constraints": {"ppc_expected": 1800,
+                                                 "kpis": [{"kind": "nope", "target": 1}]}},
+         "config section 'constraints': 'nope' is not a valid KpiKind"),
+        ("run", {**VALID_CONFIG, "controllers": [{"name": "a"}]},
+         "config controller 0: missing field 'kind'"),
     ], ids=["p_list-not-list", "top-level-not-object", "log-not-object", "sim-not-object",
-            "log-missing"])
-    def test_config_of_wrong_shape_is_one_line_error(self, tmp_path, capsys, command, doc, message):
+            "log-missing", "budget-not-int", "controllers-not-list", "trials-not-int",
+            "unknown-synthetic-key", "unknown-controller-param", "unknown-kpi-kind",
+            "controller-without-kind"])
+    def test_config_of_wrong_shape_is_one_line_error(self, tmp_path, monkeypatch, capsys,
+                                                     command, doc, message):
+        monkeypatch.chdir(tmp_path)
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         rc = main([command, "--config", str(config)])
@@ -321,6 +400,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
         assert message in err
+
+    def test_valid_config_base_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(VALID_CONFIG))
+        assert main(["run", "--config", str(config)]) == 0
+        assert (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_repeated_controller_name_is_one_line_error(self, tmp_path, capsys):
+        rc = main(["sweep-sparsity", "--synthetic", "2000", "--controller", "mlp",
+                   "--controller", "mlp", "--budget", "5000", "--ppc-target", "1800",
+                   "--trials", "3", "--p-list", "0.5", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
+        assert "controller name 'mlp' is used more than once" in err
+        assert "distinct name" in err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_json_is_one_line_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
