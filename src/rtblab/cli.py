@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: run, sweep-sparsity, ablation, gen-synthetic, convert-ipinyou.
-Experiments are described by a JSON config file (the same schema the
-manifest uses, so a manifest re-runs as-is) plus flag overrides; flags are
-enough on their own for the common cases.
+An experiment is described either by a JSON config file (the schema the
+manifest uses, so a manifest re-runs as-is) or by spec flags, which become
+a config document of the same schema; ``spec_from_dict`` reads both.  Only
+--out, --trials and --p-list may be given with --config.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .core import ConfigurationError, ConstraintSet
+from .core import ConfigurationError
 from .data import (
     ColumnMap,
     LogFormatError,
@@ -21,25 +22,28 @@ from .data import (
     generate_synthetic,
     serialize_canonical,
 )
-from .auction import PeriodMode
 from .harness import (
     PRESETS,
-    ControllerSpec,
     ExperimentSpec,
-    SimConfig,
     run_ablation,
     run_experiment,
     spec_from_dict,
     sweep_sparsity,
 )
 
+# The flags that describe a spec; --config describes it instead.
+_SPEC_FLAGS = ("--log", "--synthetic", "--synth-seed", "--controller", "--preset", "--budget",
+               "--ppc-target", "--ppc-expected", "--multi", "--period-bids", "--period-ms",
+               "--dropout", "--seed")
+
 
 def _add_spec_flags(p: argparse.ArgumentParser, default_trials: int = 1) -> None:
-    p.add_argument("--config", help="JSON experiment config or a previously written manifest")
+    p.add_argument("--config", help="JSON experiment config or a previously written manifest; "
+                                    "only --out, --trials and --p-list may be given with it")
     p.add_argument("--log", help="canonical bid-log CSV to replay")
     p.add_argument("--synthetic", type=int, metavar="N",
                    help="generate an N-record synthetic log instead of reading one")
-    p.add_argument("--synth-seed", type=int, default=0, help="synthetic log seed (default 0)")
+    p.add_argument("--synth-seed", type=int, help="synthetic log seed (default 0)")
     p.add_argument("--controller", action="append", choices=["mlp", "pid", "fixed"],
                    help="controller to run; repeat the flag to compare several (default: mlp)")
     p.add_argument("--preset", choices=sorted(PRESETS),
@@ -49,24 +53,65 @@ def _add_spec_flags(p: argparse.ArgumentParser, default_trials: int = 1) -> None
     p.add_argument("--ppc-target", type=int, help="PPC constraint target in fen")
     p.add_argument("--ppc-expected", type=int,
                    help="expected PPC used in bid pricing (default: the PPC target)")
-    p.add_argument("--multi", action="store_true",
+    p.add_argument("--multi", action="store_const", const=True,
                    help="track budget as a KPI as well as PPC (default: PPC only)")
-    p.add_argument("--period-bids", type=int, default=1000,
+    p.add_argument("--period-bids", type=int,
                    help="opportunities per control period (default 1000)")
     p.add_argument("--period-ms", type=int, metavar="MS",
                    help="batch periods by wall-clock window of MS milliseconds "
                         "instead of by bid count (900000 for 15-minute periods)")
-    p.add_argument("--dropout", type=float, default=0.0,
+    p.add_argument("--dropout", type=float,
                    help="probability of dropping each record (default 0)")
     p.add_argument("--trials", type=int,
                    help=f"repeated trials (default {default_trials})")
-    p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p.add_argument("--out", default="out", help="output directory (default ./out)")
+    p.add_argument("--seed", type=int, help="base seed (default 0)")
+    p.add_argument("--out", help="output directory (default ./out)")
 
 
-def _load_config_doc(args: argparse.Namespace) -> dict | None:
+def _given(**fields) -> dict:
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+def _flags_doc(args: argparse.Namespace, default_trials: int | None) -> dict:
+    """The config document the spec flags describe.  A flag that was not
+    given is left out, so the dataclass that reads it supplies the default."""
+    preset = PRESETS.get(args.preset, {})
+    budget = args.budget if args.budget is not None else preset.get("budget")
+    ppc_target = args.ppc_target if args.ppc_target is not None else preset.get("ppc")
+    ppc_expected = args.ppc_expected if args.ppc_expected is not None else ppc_target
+    if args.preset:
+        print(f"preset {args.preset}: budget={budget} ppc_expected={ppc_expected}")
+    if budget is None or ppc_target is None:
+        raise ConfigurationError("need --budget and --ppc-target (or --preset / --config)")
+    if (args.log is None) == (args.synthetic is None):
+        raise ConfigurationError("specify exactly one of --log / --synthetic")
+    if args.period_bids is not None and args.period_ms is not None:
+        raise ConfigurationError("give one of --period-bids / --period-ms, not both")
+    kpis = [{"kind": "ppc_target", "target": ppc_target}]
+    if args.multi:
+        kpis.append({"kind": "budget", "target": budget})
+    return _given(
+        log=({"path": args.log} if args.log is not None else
+             {"synthetic": _given(n_records=args.synthetic, seed=args.synth_seed)}),
+        sim=_given(budget=budget, period_bids=args.period_bids, period_ms=args.period_ms,
+                   period_mode="wall_clock" if args.period_ms is not None else None,
+                   dropout_p=args.dropout),
+        controllers=[{"kind": kind} for kind in args.controller or ["mlp"]],
+        constraints={"ppc_expected": ppc_expected, "kpis": kpis},
+        trials=default_trials,
+        base_seed=args.seed,
+    )
+
+
+def _load_doc(args: argparse.Namespace, default_trials: int | None = None) -> dict:
+    """The command's config document: the --config file, or the document
+    its spec flags describe."""
     if not args.config:
-        return None
+        return _flags_doc(args, default_trials)
+    given = [flag for flag in _SPEC_FLAGS if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if given:
+        raise ConfigurationError(f"{', '.join(given)} cannot be given with --config; "
+                                 f"only --out, --trials and --p-list can")
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -78,90 +123,26 @@ def _load_config_doc(args: argparse.Namespace) -> dict | None:
     return doc
 
 
-def _dropout_levels(values) -> list[float]:
-    levels = []
-    for value in values:
-        try:
-            levels.append(float(value))
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"dropout level {value!r} is not a number") from None
-    return levels
+def _build_spec(args: argparse.Namespace, doc: dict) -> ExperimentSpec:
+    return replace(spec_from_dict(doc), **_given(out_dir=args.out, trials=args.trials))
 
 
-def _build_spec(args: argparse.Namespace, default_trials: int = 1) -> ExperimentSpec:
-    doc = _load_config_doc(args)
-    if doc is not None:
-        spec = spec_from_dict(doc)
-        # flag overrides on top of the file
-        if args.out != "out":
-            spec = replace(spec, out_dir=args.out)
-        if args.trials is not None:
-            spec = replace(spec, trials=args.trials)
-        return spec
-
-    budget = args.budget
-    ppc_target = args.ppc_target
-    ppc_expected = args.ppc_expected
-    if args.preset:
-        preset = PRESETS[args.preset]
-        budget = budget if budget is not None else preset["budget"]
-        ppc_target = ppc_target if ppc_target is not None else preset["ppc"]
-        print(f"preset {args.preset}: budget={budget} ppc_expected="
-              f"{ppc_expected if ppc_expected is not None else ppc_target}")
-    if budget is None or ppc_target is None:
-        raise ConfigurationError("need --budget and --ppc-target (or --preset / --config)")
-    if args.multi:
-        constraints = ConstraintSet.ppc_and_budget(ppc_target, budget, ppc_expected)
-    else:
-        constraints = ConstraintSet.single_ppc(ppc_target, ppc_expected)
-
-    if (args.log is None) == (args.synthetic is None):
-        raise ConfigurationError("specify exactly one of --log / --synthetic")
-    synth = (SynthConfig(n_records=args.synthetic, seed=args.synth_seed)
-             if args.synthetic is not None else None)
-
-    if args.period_ms is not None:
-        sim = SimConfig(budget=budget, period_mode=PeriodMode.WALL_CLOCK,
-                        period_ms=args.period_ms, dropout_p=args.dropout)
-    else:
-        sim = SimConfig(budget=budget, period_bids=args.period_bids, dropout_p=args.dropout)
-    names = args.controller or ["mlp"]
-    controllers = tuple(ControllerSpec(kind=k) for k in names)
-    return ExperimentSpec(
-        controllers=controllers,
-        constraints=constraints,
-        sim=sim,
-        log_path=args.log,
-        synth=synth,
-        trials=args.trials if args.trials is not None else default_trials,
-        base_seed=args.seed,
-        out_dir=args.out,
-    )
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    paths = run_experiment(_build_spec(args))
-    print(f"wrote {paths['metrics']} {paths['trace']} {paths['manifest']}")
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    paths = args.driver(_build_spec(args, _load_doc(args)))
+    print("wrote " + " ".join(str(path) for path in paths.values()))
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    doc = _load_doc(args, default_trials=100)
     if args.p_list is not None:
-        p_list = _dropout_levels(tok for tok in args.p_list.split(",") if tok)
+        p_list = [tok for tok in args.p_list.split(",") if tok]
     else:
-        doc = _load_config_doc(args) or {}
         p_list = doc.get("p_list", [0.1 * k for k in range(1, 10)])
         if not isinstance(p_list, list):
             raise ConfigurationError(f"p_list must be a list, got {type(p_list).__name__}")
-        p_list = _dropout_levels(p_list)
-    paths = sweep_sparsity(_build_spec(args, default_trials=100), p_list)
-    print(f"wrote {paths['sweep']} {paths['trials']} {paths['manifest']}")
-    return 0
-
-
-def _cmd_ablation(args: argparse.Namespace) -> int:
-    paths = run_ablation(_build_spec(args))
-    print(f"wrote {paths['ablation']} {paths['manifest']}")
+    paths = sweep_sparsity(_build_spec(args, doc), p_list)
+    print("wrote " + " ".join(str(path) for path in paths.values()))
     return 0
 
 
@@ -204,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment condition")
     _add_spec_flags(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_experiment, driver=run_experiment)
 
     p_sweep = sub.add_parser("sweep-sparsity", help="dropout sweep with repeated trials")
     _add_spec_flags(p_sweep, default_trials=100)
@@ -215,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_abl = sub.add_parser("ablation", help="compare extra-feature sets with identical seeds")
     _add_spec_flags(p_abl)
-    p_abl.set_defaults(func=_cmd_ablation)
+    p_abl.set_defaults(func=_cmd_experiment, driver=run_ablation)
 
     p_gen = sub.add_parser("gen-synthetic", help="write a seeded synthetic canonical log")
     p_gen.add_argument("--n", type=int, required=True, help="number of records")

@@ -11,8 +11,9 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -61,6 +62,9 @@ class ControllerSpec:
             raise ConfigurationError(f"controller params must be an object, got {type(self.params).__name__}")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
+        if not isinstance(self.params.get("rng_seed", 0), Integral):
+            raise ConfigurationError(f"controller {self.name!r}: rng_seed must be an integer, "
+                                     f"got {self.params['rng_seed']!r}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,12 @@ class ExperimentSpec:
                                          f"give each controller a distinct name (config 'name')")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        if not isinstance(self.out_dir, str) or not isinstance(self.log_path, (str, type(None))):
+            raise ConfigurationError(f"log path and out_dir must be strings, "
+                                     f"got {self.log_path!r} and {self.out_dir!r}")
+        if self.sim.dropout_seed != 0:
+            raise ConfigurationError("sim.dropout_seed must be 0: the dropout mask of each trial "
+                                     "is seeded by (base_seed, trial); change base_seed instead")
 
 
 def build_controller(cspec: ControllerSpec, constraints: ConstraintSet, seed: int):
@@ -202,42 +212,26 @@ def _metrics_row(result: CampaignResult) -> list:
 # ---------------------------------------------------------------------------
 # Spec <-> JSON
 
-def constraints_to_dict(cs: ConstraintSet) -> dict:
-    return {
-        "ppc_expected": cs.ppc_expected,
-        "kpis": [
-            {"kind": c.kind.value, "target": c.target, "error_weight": c.error_weight}
-            for c in cs.constraints
-        ],
-    }
-
-
-def constraints_from_dict(d: Mapping) -> ConstraintSet:
-    kpis = tuple(
-        KpiConstraint(KpiKind(k["kind"]), int(k["target"]), float(k.get("error_weight", 1.0)))
-        for k in d["kpis"]
-    )
-    return ConstraintSet(constraints=kpis, ppc_expected=int(d["ppc_expected"]))
-
-
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    out: dict = {
+    return {
         "controllers": [
             {"kind": c.kind, "name": c.name, "params": dict(c.params)}
             for c in spec.controllers
         ],
-        "constraints": constraints_to_dict(spec.constraints),
+        "constraints": {
+            "ppc_expected": spec.constraints.ppc_expected,
+            "kpis": [
+                {"kind": c.kind.value, "target": c.target, "error_weight": c.error_weight}
+                for c in spec.constraints.constraints
+            ],
+        },
         "sim": {**asdict(spec.sim), "period_mode": spec.sim.period_mode.value},
         "trials": spec.trials,
         "base_seed": spec.base_seed,
         "out_dir": spec.out_dir,
+        "log": ({"path": spec.log_path} if spec.log_path is not None
+                else {"synthetic": asdict(spec.synth)}),
     }
-    if spec.log_path is not None:
-        out["log"] = {"path": spec.log_path}
-    else:
-        assert spec.synth is not None
-        out["log"] = {"synthetic": asdict(spec.synth)}
-    return out
 
 
 def _section(d: Mapping, name: str, kind: type = Mapping, what: str = "an object"):
@@ -249,41 +243,61 @@ def _section(d: Mapping, name: str, kind: type = Mapping, what: str = "an object
     return d[name]
 
 
+def _known(d, keys: Collection[str], required: Sequence[str] = ()) -> Mapping:
+    """``d``, if it is an object with every key of ``required`` and no key
+    outside ``keys``.  The caller's ``_fields_of`` names the place."""
+    if not isinstance(d, Mapping):
+        raise TypeError(f"expected an object, got {type(d).__name__}")
+    unknown = [repr(k) for k in d if k not in keys]
+    if unknown:
+        raise ValueError(f"unknown key{'s' * (len(unknown) > 1)} {', '.join(unknown)}; "
+                         f"known keys: {', '.join(keys)}")
+    for key in required:
+        if key not in d:
+            raise KeyError(key)
+    return d
+
+
+def _typed(d, types: Mapping[str, type], required: Sequence[str]) -> dict:
+    return {key: types[key](value) for key, value in _known(d, types, required).items()}
+
+
+_SIM_FIELDS = {"budget": int, "period_mode": PeriodMode, "period_bids": int, "period_ms": int,
+               "dropout_p": float, "dropout_seed": int}
+_KPI_FIELDS = {"kind": KpiKind, "target": int, "error_weight": float}
+
+
 def spec_from_dict(d: Mapping) -> ExperimentSpec:
+    """The spec of a config document or a manifest.  A field that is left
+    out takes the default of the dataclass that holds it."""
     if "spec" in d:  # accept a manifest as a config
+        with _fields_of("manifest"):
+            _known(d, ("command", "spec", "p_list"))
         d = _section(d, "spec")
+    with _fields_of("config"):
+        _known(d, ("log", "sim", "controllers", "constraints", "trials", "base_seed", "out_dir",
+                   "p_list"))
     log = _section(d, "log")
     with _fields_of("config section 'log'"):
+        _known(log, ("path", "synthetic"))
         synth = SynthConfig(**log["synthetic"]) if "synthetic" in log else None
     sim_d = _section(d, "sim")
     with _fields_of("config section 'sim'"):
-        sim = SimConfig(
-            budget=int(sim_d["budget"]),
-            period_mode=PeriodMode(sim_d.get("period_mode", "count")),
-            period_bids=int(sim_d.get("period_bids", 1000)),
-            period_ms=int(sim_d.get("period_ms", 900_000)),
-            dropout_p=float(sim_d.get("dropout_p", 0.0)),
-            dropout_seed=int(sim_d.get("dropout_seed", 0)),
-        )
+        sim = SimConfig(**_typed(sim_d, _SIM_FIELDS, ["budget"]))
     controllers = []
     for i, c in enumerate(_section(d, "controllers", list, "a list")):
         with _fields_of(f"config controller {i}"):
-            controllers.append(ControllerSpec(kind=c["kind"], name=c.get("name", ""),
-                                              params=c.get("params", {})))
+            controllers.append(ControllerSpec(**_known(c, ("kind", "name", "params"), ["kind"])))
+    cons = _section(d, "constraints")
     with _fields_of("config section 'constraints'"):
-        constraints = constraints_from_dict(_section(d, "constraints"))
+        kpis = tuple(KpiConstraint(**_typed(kpi, _KPI_FIELDS, ["kind", "target"]))
+                     for kpi in _known(cons, ("kpis", "ppc_expected"), ["kpis"])["kpis"])
+        constraints = ConstraintSet(kpis, int(cons["ppc_expected"]))
     with _fields_of("config fields 'trials' and 'base_seed' must be integers"):
-        trials, base_seed = int(d.get("trials", 1)), int(d.get("base_seed", 0))
-    return ExperimentSpec(
-        controllers=tuple(controllers),
-        constraints=constraints,
-        sim=sim,
-        log_path=log.get("path"),
-        synth=synth,
-        trials=trials,
-        base_seed=base_seed,
-        out_dir=d.get("out_dir", "out"),
-    )
+        given = {key: int(d[key]) for key in ("trials", "base_seed") if key in d}
+    if "out_dir" in d:
+        given["out_dir"] = d["out_dir"]
+    return ExperimentSpec(tuple(controllers), constraints, sim, log.get("path"), synth, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +323,14 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, Path]:
 def sweep_sparsity(spec: ExperimentSpec, p_list: Sequence[float]) -> dict[str, Path]:
     """Replay the experiment across dropout levels with repeated trials and
     summarize conversions per (level, controller) with a 95% interval."""
+    with _fields_of("dropout levels"):
+        p_list = [float(p) for p in p_list]
     for p in p_list:
         if not (0.0 <= p <= 1.0):
             raise ConfigurationError(f"dropout level {p} outside [0, 1]")
     raw_rows: list[list] = []
     conv_by_cell: dict[tuple[_Condition, str], list[int]] = {}
-    conditions = [_Condition(float(p), float(p), spec.controllers) for p in p_list]
+    conditions = [_Condition(p, p, spec.controllers) for p in p_list]
     for cond, trial, cspec, result in _cells(spec, conditions):
         conv_by_cell.setdefault((cond, cspec.name), []).append(result.metrics.conv)
         raw_rows.append([cspec.name, cond.label, trial, result.records] + _metrics_row(result))
@@ -330,7 +346,7 @@ def sweep_sparsity(spec: ExperimentSpec, p_list: Sequence[float]) -> dict[str, P
                   summary_rows),
         "trials": ("sweep_trials.csv",
                    ["controller", "p", "trial", "records", *_METRIC_COLUMNS], raw_rows),
-    }, {"p_list": [float(p) for p in p_list]})
+    }, {"p_list": p_list})
 
 
 ABLATION_ORDER = (FeatureSet.NONE, FeatureSet.POSTERIOR, FeatureSet.PRIOR, FeatureSet.FULL)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ from rtblab import (
     sweep_sparsity,
 )
 from rtblab.auction import PeriodMode, _kept_indices
-from rtblab.cli import main
+from rtblab import cli
+from rtblab.cli import build_parser, main
 from rtblab.harness import derive_seed, spec_from_dict, spec_to_dict
 from support import naive_replay
 
@@ -249,6 +251,47 @@ class TestEngineBytePins:
         assert sha256(paths["manifest"]) == "5bdc8fb38590c3f74b6e8690d081005bad0305c69ecb1dc108bf16b9e2ee3369"
 
 
+class TestCliBytePins:
+    """sha256 of every file that flag-built CLI runs write, manifests
+    included, recorded while the CLI still built specs from its flags
+    itself.  The sweep uses the default levels, whose ``0.1 * k`` reprs
+    appear in its manifest."""
+
+    @pytest.mark.parametrize("name, argv, pins", [
+        ("preset-multi",
+         ["run", "--preset", "adequate", "--synthetic", "2000", "--multi",
+          "--ppc-expected", "15", "--controller", "fixed"],
+         {"metrics.csv": "007b0dea10ece8f98199ed5dc48a0541af5595bb5433543a886b1b8f5dd29821",
+          "trace.csv": "2b66b8716cd1858d9078162b792295b2c6d15cbeea8a61dda40156ca1e5717b0",
+          "manifest.json": "6f0d4e7f333678d070a85c8c6ea364a7991f7b6af9437992490555f541cfee06"}),
+        ("wall-clock-dropout",
+         ["run", "--synthetic", "3000", "--synth-seed", "4", "--budget", "10000000",
+          "--ppc-target", "4400", "--ppc-expected", "15", "--period-ms", "5000",
+          "--dropout", "0.3", "--trials", "2"],
+         {"metrics.csv": "0e3c81984ca34c9ee67ad159ff5a41a26514c20b0da7b153f1b3cddd99a09990",
+          "trace.csv": "6dad892433e6e334ce00eedf7bb999cf46e1f8a298a3f5f37b4e32dd7644b753",
+          "manifest.json": "fe24c42f001bdd606d91a4c3619cabe9d5c28ac62d3fd7f3d5b08702304c9dcd"}),
+        ("sweep-default-levels",
+         ["sweep-sparsity", "--synthetic", "1000", "--budget", "500000",
+          "--ppc-target", "4400", "--trials", "2"],
+         {"sweep.csv": "5131cacc40434ed32f9de2759fca098a1e76a0221632b75b3d4b4e022dd73c91",
+          "sweep_trials.csv": "928c81f3dab2194a394767b57f79e546753f9f2dcee8bfdfd7a87bf6a3d3cd91",
+          "sweep_manifest.json":
+              "12f2a1bd14f761ce6c4f8ec4b74366a56fd5f6519f5e4a1190759a9d5c74a38f"}),
+        ("ablation",
+         ["ablation", "--synthetic", "2000", "--budget", "5000000", "--ppc-target", "4400",
+          "--ppc-expected", "15", "--dropout", "0.2"],
+         {"ablation.csv": "9bbf7b7abadba212ab718a7387b5a70e1abe2722487fef4284263fd583addaa7",
+          "ablation_manifest.json":
+              "2322275217392562cc7a56e2d932287972170086178a40e3af4c9b81a113fbdd"}),
+    ])
+    def test_flag_built_outputs(self, tmp_path, monkeypatch, name, argv, pins):
+        monkeypatch.chdir(tmp_path)
+        out = Path("pinned/cli") / name
+        assert main(argv + ["--out", str(out)]) == 0
+        assert {p.name: sha256(p) for p in out.iterdir()} == pins
+
+
 class TestAblation:
     def test_rows_in_feature_set_order(self, tmp_path):
         spec = small_spec(tmp_path / "out", (ControllerSpec(kind="mlp"),))
@@ -386,10 +429,36 @@ class TestCli:
          "config section 'constraints': 'nope' is not a valid KpiKind"),
         ("run", {**VALID_CONFIG, "controllers": [{"name": "a"}]},
          "config controller 0: missing field 'kind'"),
+        ("run", {**VALID_CONFIG, "log": {"path": 7}}, "log path and out_dir must be strings"),
+        ("run", {**VALID_CONFIG, "out_dir": 7}, "log path and out_dir must be strings"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp", "params": {"rng_seed": "x"}}]},
+         "controller 'mlp': rng_seed must be an integer, got 'x'"),
+        ("run", {**VALID_CONFIG, "sim": {"budget": 50_000, "period_bid": 10}},
+         "config section 'sim': unknown key 'period_bid'"),
+        ("run", {**VALID_CONFIG, "trails": 5}, "config: unknown key 'trails'"),
+        ("run", {**VALID_CONFIG, "trails": 5, "seed": 1}, "config: unknown keys 'trails', 'seed'"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp", "parms": {}}]},
+         "config controller 0: unknown key 'parms'"),
+        ("run", {**VALID_CONFIG, "constraints": {
+            "ppc_expected": 1800, "kpis": [{"kind": "ppc_target", "target": 1800, "weight": 2}]}},
+         "config section 'constraints': unknown key 'weight'"),
+        ("run", {**VALID_CONFIG, "constraints": {**VALID_CONFIG["constraints"], "ppc": 1}},
+         "config section 'constraints': unknown key 'ppc'"),
+        ("run", {**VALID_CONFIG, "log": {"synthetic": {"n_records": 400}, "pth": "x"}},
+         "config section 'log': unknown key 'pth'"),
+        ("sweep-sparsity", {"command": "sweep-sparsity", "spec": VALID_CONFIG, "p_lst": [0.5]},
+         "manifest: unknown key 'p_lst'"),
+        ("run", {**VALID_CONFIG, "sim": {"budget": 50_000, "dropout_seed": 12345}},
+         "sim.dropout_seed must be 0: the dropout mask of each trial is seeded by "
+         "(base_seed, trial)"),
     ], ids=["p_list-not-list", "top-level-not-object", "log-not-object", "sim-not-object",
             "log-missing", "budget-not-int", "controllers-not-list", "trials-not-int",
             "unknown-synthetic-key", "unknown-controller-param", "unknown-kpi-kind",
-            "controller-without-kind"])
+            "controller-without-kind", "log-path-not-string", "out-dir-not-string",
+            "rng-seed-not-int", "unknown-sim-key", "unknown-top-level-key",
+            "unknown-top-level-keys", "unknown-controller-key", "unknown-kpi-key",
+            "unknown-constraints-key", "unknown-log-key", "unknown-manifest-key",
+            "nonzero-dropout-seed"])
     def test_config_of_wrong_shape_is_one_line_error(self, tmp_path, monkeypatch, capsys,
                                                      command, doc, message):
         monkeypatch.chdir(tmp_path)
@@ -400,6 +469,45 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
         assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [
+        ["--log", "log.csv"], ["--synthetic", "400"], ["--synth-seed", "0"],
+        ["--controller", "pid"], ["--preset", "tight"], ["--budget", "5"],
+        ["--ppc-target", "1800"], ["--ppc-expected", "15"], ["--multi"],
+        ["--period-bids", "50"], ["--period-ms", "5000"], ["--dropout", "0"], ["--seed", "0"],
+    ], ids=lambda flag: flag[0])
+    def test_spec_flag_with_config_is_one_line_error(self, tmp_path, monkeypatch, capsys, flag):
+        # --config describes the whole spec; a spec flag next to it used to be dropped
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(VALID_CONFIG))
+        rc = main(["run", "--config", str(config), *flag, "--out", "given"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
+        assert f"{flag[0]} cannot be given with --config" in err
+        assert not (tmp_path / "given").exists() and not (tmp_path / "out").exists()
+
+    def test_period_bids_with_period_ms_is_one_line_error(self, tmp_path, capsys):
+        rc = main(["run", "--synthetic", "400", "--budget", "50000", "--ppc-target", "1800",
+                   "--period-bids", "50", "--period-ms", "5000", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
+        assert "--period-bids" in err and "--period-ms" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_with_out_trials_and_p_list(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**VALID_CONFIG, "p_list": [0.1, 0.2, 0.3]}))
+        assert main(["sweep-sparsity", "--config", str(config), "--out", "given",
+                     "--trials", "3", "--p-list", "0.5"]) == 0
+        manifest = json.loads(read(tmp_path / "given" / "sweep_manifest.json"))
+        assert manifest["p_list"] == [0.5]
+        assert manifest["spec"]["trials"] == 3 and manifest["spec"]["out_dir"] == "given"
+        assert not (tmp_path / "out").exists()
 
     def test_valid_config_base_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -484,3 +592,34 @@ class TestCli:
                    "--out", str(tmp_path / "out")])
         assert rc == 0
         assert len(read(tmp_path / "out" / "ablation.csv").splitlines()) == 5
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The argv of every ``rtblab`` command in README's CLI code block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("rtblab ")]
+
+
+class TestReadmeCli:
+    COMMANDS = readme_cli_commands()
+
+    def test_every_subcommand_has_an_example(self):
+        assert {argv[0] for argv in self.COMMANDS} == {
+            "gen-synthetic", "run", "sweep-sparsity", "ablation", "convert-ipinyou"}
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_example_parses_and_builds_its_spec(self, argv, monkeypatch):
+        built = []
+
+        def record(spec, *levels):
+            built.append(spec)
+            return {}
+        for driver in ("run_experiment", "sweep_sparsity", "run_ablation"):
+            monkeypatch.setattr(cli, driver, record)
+        args = build_parser().parse_args(argv)
+        if argv[0] in ("gen-synthetic", "convert-ipinyou"):
+            return  # parsed only: running them reads or writes real files
+        assert args.func(args) == 0
+        assert len(built) == 1 and isinstance(built[0], ExperimentSpec)
