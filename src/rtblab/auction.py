@@ -23,7 +23,7 @@ from .core import (
     PeriodFeedback,
     compute_metrics,
 )
-from .controller import BudgetErrorMode, cost_value, kpi_error
+from .controller import normalized_feedback
 from .data import BidLog
 
 
@@ -65,24 +65,26 @@ def run_period(batch: BidLog, u: float, ppc_expected: float,
         return PeriodFeedback()
     # same left-to-right multiply order as the test oracle adjusted_ecpm (tests/support.py)
     ecpm = 1000.0 * batch.pctr
-    ecpm = ecpm * batch.pcvr
-    ecpm = ecpm * ppc_expected
-    ecpm = ecpm * u
+    ecpm *= batch.pcvr
+    ecpm *= ppc_expected
+    ecpm *= u
     win = ecpm > batch.market_price
-    costs = np.where(win, batch.market_price, 0)
-    cum = spent + np.cumsum(costs, dtype=np.int64)
-    over = cum >= budget
-    n_part = int(np.argmax(over)) + 1 if over.any() else len(batch)
-    win = win[:n_part]
-    clicked = win & batch.click[:n_part]
+    cum = np.where(win, batch.market_price, 0).cumsum(dtype=np.int64)  # BidLog prices are >= 0
+    n_part = len(batch)
+    columns = win, batch.click, batch.conversion, batch.pctr, batch.pcvr
+    if cum[-1] >= budget - spent:  # the first win to reach the budget is the last row played
+        n_part = int(np.searchsorted(cum, budget - spent)) + 1
+        columns = [column[:n_part] for column in columns]
+    win, click, conversion, pctr, pcvr = columns
+    clicked = win & click
     return PeriodFeedback(
         bids_participated=n_part,
         impressions=int(np.count_nonzero(win)),
         clicks=int(np.count_nonzero(clicked)),
-        conversions=int(np.count_nonzero(clicked & batch.conversion[:n_part])),
-        cost=int(cum[n_part - 1] - spent),
-        sum_pctr=float(batch.pctr[:n_part].sum()),
-        sum_pcvr=float(batch.pcvr[:n_part].sum()),
+        conversions=int(np.count_nonzero(clicked & conversion)),
+        cost=int(cum[n_part - 1]),
+        sum_pctr=float(pctr.sum()),
+        sum_pcvr=float(pcvr.sum()),
     )
 
 
@@ -167,7 +169,6 @@ def run_campaign(log: BidLog, controller: PeriodController,
     n = len(log)
     cumulative = PeriodFeedback()
     trace: list[PeriodTrace] = []
-    weights = np.array([c.error_weight for c in constraints.constraints])
     u_prev: float | None = None
     terminated = False
     for period, (lo, hi) in enumerate(_period_bounds(log, sim)):
@@ -177,11 +178,13 @@ def run_campaign(log: BidLog, controller: PeriodController,
         cumulative = cumulative + delta
         elapsed = hi / n
         controller.end_period(cumulative, elapsed)
-        errors = kpi_error(constraints, cumulative, elapsed, BudgetErrorMode.FULL_BUDGET)
-        du = np.array([u - u_prev]) if u_prev is not None else np.zeros(1)
-        j = cost_value(errors, weights, du, np.ones(1))
-        trace.append(PeriodTrace(period=period, u=u, errors=tuple(float(e) for e in errors),
-                                 j=j, feedback=cumulative))
+        errors = tuple(x - 1.0 for x in normalized_feedback(constraints, cumulative))
+        j = 0.0
+        for c, e in zip(constraints.constraints, errors):
+            j += c.error_weight * e * e
+        du = u - u_prev if u_prev is not None else 0.0
+        j += du * du
+        trace.append(PeriodTrace(period=period, u=u, errors=errors, j=j, feedback=cumulative))
         u_prev = u
         if cumulative.cost >= sim.budget:
             terminated = True

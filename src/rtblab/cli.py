@@ -120,6 +120,9 @@ def _load_doc(args: argparse.Namespace, default_trials: int | None = None) -> di
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config {args.config}: must be a JSON object, "
                                  f"got {type(doc).__name__}")
+    if "spec" in doc and doc.get("command") != args.command:
+        raise ConfigurationError(f"config {args.config}: a manifest of command "
+                                 f"{doc.get('command')!r} cannot be run by {args.command!r}")
     return doc
 
 

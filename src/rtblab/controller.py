@@ -22,7 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -93,10 +93,10 @@ class MlpControllerConfig:
 class ControllerState:
     """Mutable controller state owned by one campaign replay.
 
-    ``fb_prev`` and ``resp_prev`` are the feedback snapshots: the cumulative
-    counters after the previous period, and that period's own normalized
-    response (its feedback delta over targets), which the slope estimate
-    differences against.
+    ``fb_prev``, ``xhat_prev`` and ``resp_prev`` are the feedback snapshots:
+    the cumulative counters after the previous period, the same over targets,
+    and that period's own normalized response (its feedback delta over
+    targets), which the slope estimate differences against.
     """
 
     w_enc: np.ndarray                 # (hidden_dim, input_dim)
@@ -107,10 +107,11 @@ class ControllerState:
     h_prev: np.ndarray
     x_curr: np.ndarray
     fb_prev: Optional[PeriodFeedback]
-    resp_prev: Optional[np.ndarray]
+    resp_prev: Optional[Sequence[float]]
     grad_log_enc: deque = field(default_factory=deque)
     grad_log_dec: deque = field(default_factory=deque)
     period_index: int = 0
+    xhat_prev: Optional[Sequence[float]] = None
 
 
 @dataclass(frozen=True)
@@ -131,30 +132,25 @@ def input_dim(n_constraints: int, feature_set: FeatureSet) -> int:
 
 
 def extra_features(feedback: PeriodFeedback, feature_set: FeatureSet) -> list[float]:
-    posterior = [feedback.ctr, feedback.cvr]
-    prior = [feedback.mean_pctr, feedback.mean_pcvr]
-    if feature_set is FeatureSet.NONE:
-        return []
-    if feature_set is FeatureSet.POSTERIOR:
-        return posterior
-    if feature_set is FeatureSet.PRIOR:
-        return prior
-    return posterior + prior
+    features = []
+    if feature_set in (FeatureSet.POSTERIOR, FeatureSet.FULL):
+        features += (feedback.ctr, feedback.cvr)
+    if feature_set in (FeatureSet.PRIOR, FeatureSet.FULL):
+        features += (feedback.mean_pctr, feedback.mean_pcvr)
+    return features
 
 
-def normalized_feedback(constraints: ConstraintSet, feedback: PeriodFeedback) -> np.ndarray:
+def normalized_feedback(constraints: ConstraintSet, feedback: PeriodFeedback) -> list[float]:
     """Per-constraint achieved value divided by its target."""
-    return np.array([feedback_value(c, feedback) / c.target for c in constraints.constraints])
+    return [feedback_value(c, feedback) / c.target for c in constraints.constraints]
 
 
-def build_input(constraints: ConstraintSet, feedback: PeriodFeedback,
+def build_input(xhat: Sequence[float], feedback: PeriodFeedback,
                 feature_set: FeatureSet) -> np.ndarray:
-    """Assemble the input vector [1, achieved/target, ...] + extra features."""
-    xhat = normalized_feedback(constraints, feedback)
+    """The input vector [1, xhat_1, 1, xhat_2, ...] + extra features of ``feedback``."""
     parts: list[float] = []
     for value in xhat:
-        parts.append(1.0)
-        parts.append(float(value))
+        parts += (1.0, value)
     parts.extend(extra_features(feedback, feature_set))
     return np.array(parts)
 
@@ -186,31 +182,12 @@ def forward(state: ControllerState, x: np.ndarray, u_max: float) -> tuple[np.nda
     return h, u
 
 
-def kpi_error(constraints: ConstraintSet, feedback: PeriodFeedback,
-              elapsed_fraction: float = 1.0,
-              mode: BudgetErrorMode = BudgetErrorMode.FULL_BUDGET) -> np.ndarray:
-    """Target-normalized error vector, one entry per constraint."""
-    xhat = normalized_feedback(constraints, feedback)
-    zhat = reference_vector(constraints, elapsed_fraction, mode)
-    return xhat - zhat
-
-
 def reference_vector(constraints: ConstraintSet, elapsed_fraction: float,
-                     mode: BudgetErrorMode) -> np.ndarray:
-    zhat = np.ones(len(constraints.constraints))
-    if mode is BudgetErrorMode.PACED:
-        for i, c in enumerate(constraints.constraints):
-            if c.kind is KpiKind.BUDGET:
-                zhat[i] = elapsed_fraction
-    return zhat
-
-
-def cost_value(errors: np.ndarray, error_weights: np.ndarray,
-               du: np.ndarray, control_weights: np.ndarray) -> float:
-    """Quadratic period cost: weighted KPI error plus weighted control change."""
-    errors = np.asarray(errors, dtype=float)
-    du = np.asarray(du, dtype=float)
-    return float(np.sum(error_weights * errors * errors) + np.sum(control_weights * du * du))
+                     mode: BudgetErrorMode) -> list[float]:
+    """Per-constraint reference the normalized feedback is steered to."""
+    paced = mode is BudgetErrorMode.PACED
+    return [float(elapsed_fraction) if paced and c.kind is KpiKind.BUDGET else 1.0
+            for c in constraints.constraints]
 
 
 def partial_j1(q: float, x: float, z: float) -> float:
@@ -246,16 +223,8 @@ def approx_dhdwe(x: np.ndarray, h_curr: np.ndarray, h_prev: np.ndarray,
                  u_curr: float, u_prev: float) -> np.ndarray:
     """Hebbian-style encoding-layer factor: the input vector scaled by the
     summed sign correlations between hidden-unit deltas and the adjustment
-    delta."""
-    du = u_curr - u_prev
-    total = 0.0
-    for dh in np.asarray(h_curr) - np.asarray(h_prev):
-        product = dh * du
-        if product > 0.0:
-            total += 1.0
-        elif product < 0.0:
-            total -= 1.0
-    return np.asarray(x) * total
+    delta.  The sum of signs is a small integer, so it is exact."""
+    return x * np.sign((h_curr - h_prev) * (u_curr - u_prev)).sum()
 
 
 def backward(state: ControllerState, constraints: ConstraintSet,
@@ -268,6 +237,7 @@ def backward(state: ControllerState, constraints: ConstraintSet,
     slope sign correlates each period's own response (the feedback delta
     that period produced) with the adjustment delta, since it is the
     per-period response that actually reacts to the current adjustment.
+    Rolls the feedback snapshots forward to ``feedback``.
     """
     if state.period_index < 1 or state.fb_prev is None or state.resp_prev is None:
         raise InsufficientHistory("no previous period to difference against")
@@ -275,25 +245,25 @@ def backward(state: ControllerState, constraints: ConstraintSet,
     resp = normalized_feedback(constraints, feedback - state.fb_prev)
     zhat = reference_vector(constraints, elapsed_fraction, config.budget_error_mode)
     chain = partial_j2(config.control_weight, state.u_curr, state.u_prev)
-    for i, c in enumerate(constraints.constraints):
-        slope = approx_dxdu(float(resp[i]), float(state.resp_prev[i]),
-                            state.u_curr, state.u_prev)
-        chain += partial_j1(c.error_weight, float(xhat[i]), float(zhat[i])) * slope
+    for c, x, z, r, r_prev in zip(constraints.constraints, xhat, zhat, resp, state.resp_prev):
+        slope = approx_dxdu(r, r_prev, state.u_curr, state.u_prev)
+        chain += partial_j1(c.error_weight, x, z) * slope
     du_dh, du_dwd = sigmoid_layer_grads(state.w_dec, state.h_curr, config.u_max)
     g_dec = chain * du_dwd
-    dh_dwe = approx_dhdwe(state.x_curr, state.h_curr, state.h_prev,
-                          state.u_curr, state.u_prev)
-    g_enc = chain * np.outer(du_dh, dh_dwe)
+    dh_dwe = approx_dhdwe(state.x_curr, state.h_curr, state.h_prev, state.u_curr, state.u_prev)
+    g_enc = chain * np.multiply.outer(du_dh, dh_dwe)
     state.grad_log_enc.append(g_enc)
     state.grad_log_dec.append(g_dec)
+    state.fb_prev, state.xhat_prev, state.resp_prev = feedback, xhat, resp
     return g_enc, g_dec
 
 
 def _normalized_step(w: np.ndarray, grad_log: deque, learning_rate: float) -> bool:
     if not grad_log:
         return False
-    mean_grad = np.mean(np.stack(list(grad_log)), axis=0)
-    norm = float(np.linalg.norm(mean_grad))
+    # np.mean's and np.linalg.norm's own arithmetic, without their wrappers
+    mean_grad = np.add.reduce(np.array(grad_log), axis=0) / len(grad_log)
+    norm = math.sqrt(np.vdot(mean_grad, mean_grad))
     if norm <= _ZERO_NORM_GUARD:
         return False
     w -= learning_rate * (mean_grad / norm)
@@ -345,20 +315,21 @@ class MlpBidController:
 
     def begin_period(self, feedback: PeriodFeedback) -> float:
         """Produce this period's adjustment from cumulative feedback so far."""
-        x = build_input(self.constraints, feedback, self.config.feature_set)
-        _, u = forward(self.state, x, self.config.u_max)
+        state = self.state
+        xhat = (state.xhat_prev if feedback is state.fb_prev
+                else normalized_feedback(self.constraints, feedback))
+        _, u = forward(state, build_input(xhat, feedback, self.config.feature_set),
+                       self.config.u_max)
         return u
 
     def end_period(self, feedback: PeriodFeedback, elapsed_fraction: float = 1.0) -> None:
         """Learn from the period just run; the very first period only seeds
         the feedback snapshots."""
-        try:
-            backward(self.state, self.constraints, feedback, self.config, elapsed_fraction)
-        except InsufficientHistory:
-            pass
+        state = self.state
+        if state.fb_prev is None:
+            state.fb_prev = feedback
+            state.xhat_prev = state.resp_prev = normalized_feedback(self.constraints, feedback)
         else:
-            apply_update(self.state, self.config)
-        delta = feedback - self.state.fb_prev if self.state.fb_prev is not None else feedback
-        self.state.resp_prev = normalized_feedback(self.constraints, delta)
-        self.state.fb_prev = feedback
-        self.state.period_index += 1
+            backward(state, self.constraints, feedback, self.config, elapsed_fraction)
+            apply_update(state, self.config)
+        state.period_index += 1

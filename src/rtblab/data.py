@@ -211,6 +211,16 @@ class BidLog:
         self.market_price = np.asarray(market_price, dtype=np.int64)
         self.click = np.asarray(click, dtype=bool)
         self.conversion = np.asarray(conversion, dtype=bool)
+        # The replay relies on it: cumulative cost never decreases within a batch.
+        if np.any(self.market_price < 0):
+            raise ConfigurationError("market prices must be >= 0")
+
+    @classmethod
+    def _of(cls, *columns) -> "BidLog":
+        """A log of columns taken from a log, so already typed and checked."""
+        log = object.__new__(cls)
+        log.ts, log.pctr, log.pcvr, log.market_price, log.click, log.conversion = columns
+        return log
 
     def __len__(self) -> int:
         return self.ts.shape[0]
@@ -224,14 +234,14 @@ class BidLog:
             )
 
     def segment(self, lo: int, hi: int) -> "BidLog":
-        return BidLog(self.ts[lo:hi], self.pctr[lo:hi], self.pcvr[lo:hi],
-                      self.market_price[lo:hi], self.click[lo:hi], self.conversion[lo:hi])
+        return BidLog._of(self.ts[lo:hi], self.pctr[lo:hi], self.pcvr[lo:hi],
+                          self.market_price[lo:hi], self.click[lo:hi], self.conversion[lo:hi])
 
     def filter(self, mask: np.ndarray) -> "BidLog":
         """The rows selected by a boolean mask of length ``len(self)``, or by
         an ascending array of row indices, as a copy in log order."""
-        return BidLog(self.ts[mask], self.pctr[mask], self.pcvr[mask],
-                      self.market_price[mask], self.click[mask], self.conversion[mask])
+        return BidLog._of(self.ts[mask], self.pctr[mask], self.pcvr[mask],
+                          self.market_price[mask], self.click[mask], self.conversion[mask])
 
     def max_price(self) -> int:
         return int(self.market_price.max()) if len(self) else 0

@@ -13,11 +13,11 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from numbers import Integral
 from pathlib import Path
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .auction import CampaignResult, PeriodMode, SimConfig, run_campaign
+from .auction import CampaignResult, SimConfig, run_campaign
 from .baselines import FixedBidController, PidConfig, PidController
 from .controller import BudgetErrorMode, FeatureSet, MlpBidController, MlpControllerConfig
 from .core import ConfigurationError, ConstraintSet, KpiConstraint, KpiKind
@@ -45,7 +45,7 @@ def _fields_of(where: str) -> Iterator[None]:
         yield
     except KeyError as exc:
         raise ConfigurationError(f"{where}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{where}: {exc}") from None
 
 
@@ -258,13 +258,21 @@ def _known(d, keys: Collection[str], required: Sequence[str] = ()) -> Mapping:
     return d
 
 
-def _typed(d, types: Mapping[str, type], required: Sequence[str]) -> dict:
-    return {key: types[key](value) for key, value in _known(d, types, required).items()}
+def _as(kind: type, key: str, value):
+    """Field ``key`` of type ``kind`` read from a JSON value: an int only
+    from a JSON integer, a float from any JSON number, neither from a bool."""
+    if kind is float and type(value) in (int, float):
+        return float(value)
+    if kind in (int, float) and type(value) is not kind:
+        raise TypeError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
 
 
-_SIM_FIELDS = {"budget": int, "period_mode": PeriodMode, "period_bids": int, "period_ms": int,
-               "dropout_p": float, "dropout_seed": int}
-_KPI_FIELDS = {"kind": KpiKind, "target": int, "error_weight": float}
+def _read(cls: type, d, required: Sequence[str] = ()):
+    """The dataclass ``cls`` from an object, each field read by its annotated type."""
+    hints = get_type_hints(cls)
+    return cls(**{key: _as(hints[key], key, value)
+                  for key, value in _known(d, hints, required).items()})
 
 
 def spec_from_dict(d: Mapping) -> ExperimentSpec:
@@ -280,21 +288,21 @@ def spec_from_dict(d: Mapping) -> ExperimentSpec:
     log = _section(d, "log")
     with _fields_of("config section 'log'"):
         _known(log, ("path", "synthetic"))
-        synth = SynthConfig(**log["synthetic"]) if "synthetic" in log else None
+        synth = _read(SynthConfig, log["synthetic"]) if "synthetic" in log else None
     sim_d = _section(d, "sim")
     with _fields_of("config section 'sim'"):
-        sim = SimConfig(**_typed(sim_d, _SIM_FIELDS, ["budget"]))
+        sim = _read(SimConfig, sim_d, ["budget"])
     controllers = []
     for i, c in enumerate(_section(d, "controllers", list, "a list")):
         with _fields_of(f"config controller {i}"):
             controllers.append(ControllerSpec(**_known(c, ("kind", "name", "params"), ["kind"])))
     cons = _section(d, "constraints")
     with _fields_of("config section 'constraints'"):
-        kpis = tuple(KpiConstraint(**_typed(kpi, _KPI_FIELDS, ["kind", "target"]))
+        kpis = tuple(_read(KpiConstraint, kpi, ["kind", "target"])
                      for kpi in _known(cons, ("kpis", "ppc_expected"), ["kpis"])["kpis"])
-        constraints = ConstraintSet(kpis, int(cons["ppc_expected"]))
-    with _fields_of("config fields 'trials' and 'base_seed' must be integers"):
-        given = {key: int(d[key]) for key in ("trials", "base_seed") if key in d}
+        constraints = ConstraintSet(kpis, _as(int, "ppc_expected", cons["ppc_expected"]))
+    with _fields_of("config"):
+        given = {key: _as(int, key, d[key]) for key in ("trials", "base_seed") if key in d}
     if "out_dir" in d:
         given["out_dir"] = d["out_dir"]
     return ExperimentSpec(tuple(controllers), constraints, sim, log.get("path"), synth, **given)

@@ -6,11 +6,12 @@ vectorized simulator it checks.
 """
 from __future__ import annotations
 
+from collections import deque
 from enum import Enum
 
 import numpy as np
 
-from rtblab import BidLog, BidRecord, PeriodFeedback
+from rtblab import BidLog, BidRecord, BudgetErrorMode, KpiKind, PeriodFeedback, feedback_value
 
 
 def adjusted_ecpm(record: BidRecord, ppc_expected: float, u: float) -> float:
@@ -89,3 +90,56 @@ def feedback(bids=0, imp=0, clk=0, conv=0, cost=0, sum_pctr=0.0, sum_pcvr=0.0) -
         bids_participated=bids, impressions=imp, clicks=clk, conversions=conv,
         cost=cost, sum_pctr=sum_pctr, sum_pcvr=sum_pcvr,
     )
+
+
+# ---------------------------------------------------------------------------
+# Array forms of the per-period arithmetic, as the package computed it
+# before the per-period path was reworked.  The package's forms must match
+# them bit for bit.
+
+def kpi_error(constraints, feedback: PeriodFeedback, elapsed_fraction: float = 1.0,
+              mode: BudgetErrorMode = BudgetErrorMode.FULL_BUDGET) -> np.ndarray:
+    """Target-normalized error vector, one entry per constraint."""
+    xhat = np.array([feedback_value(c, feedback) / c.target for c in constraints.constraints])
+    zhat = np.ones(len(constraints.constraints))
+    if mode is BudgetErrorMode.PACED:
+        for i, c in enumerate(constraints.constraints):
+            if c.kind is KpiKind.BUDGET:
+                zhat[i] = elapsed_fraction
+    return xhat - zhat
+
+
+def cost_value(errors: np.ndarray, error_weights: np.ndarray,
+               du: np.ndarray, control_weights: np.ndarray) -> float:
+    """Quadratic period cost: weighted KPI error plus weighted control change."""
+    errors = np.asarray(errors, dtype=float)
+    du = np.asarray(du, dtype=float)
+    return float(np.sum(error_weights * errors * errors) + np.sum(control_weights * du * du))
+
+
+def approx_dhdwe_loop(x: np.ndarray, h_curr: np.ndarray, h_prev: np.ndarray,
+                      u_curr: float, u_prev: float) -> np.ndarray:
+    """Hebbian encoding-layer factor, one hidden unit at a time."""
+    du = u_curr - u_prev
+    total = 0.0
+    for dh in np.asarray(h_curr) - np.asarray(h_prev):
+        product = dh * du
+        if product > 0.0:
+            total += 1.0
+        elif product < 0.0:
+            total -= 1.0
+    return np.asarray(x) * total
+
+
+def normalized_step_stacked(w: np.ndarray, grad_log: deque, learning_rate: float,
+                            zero_norm_guard: float = 1e-12) -> bool:
+    """Fixed-norm step along the windowed mean gradient, the mean taken
+    with ``np.mean`` over the stacked window."""
+    if not grad_log:
+        return False
+    mean_grad = np.mean(np.stack(list(grad_log)), axis=0)
+    norm = float(np.linalg.norm(mean_grad))
+    if norm <= zero_norm_guard:
+        return False
+    w -= learning_rate * (mean_grad / norm)
+    return True

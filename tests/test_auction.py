@@ -8,6 +8,8 @@ from rtblab import (
     BidRecord,
     ConstraintSet,
     FixedBidController,
+    MlpBidController,
+    MlpControllerConfig,
     PeriodFeedback,
     PeriodMode,
     SimConfig,
@@ -18,6 +20,8 @@ from rtblab import (
 from rtblab.auction import _kept_indices
 from support import (
     AuctionOutcome,
+    cost_value,
+    kpi_error,
     make_log,
     mask_dropout,
     naive_replay,
@@ -100,6 +104,27 @@ class TestRunPeriod:
         assert fb.cost == 900
 
 
+# Every row wins at u = 1 (ecpm 18000); rows are (price, click, conversion).
+@pytest.mark.parametrize("rows, spent, budget, n_part, cost", [
+    ([(900, 1, 1), (10, 1, 0), (10, 0, 0)], 0, 500, 1, 900),
+    ([(100, 0, 0), (100, 1, 0), (400, 1, 1)], 0, 550, 3, 600),
+    ([(100, 1, 0), (200, 1, 1), (300, 0, 0), (50, 1, 1)], 0, 600, 3, 600),
+    ([(100, 1, 0), (200, 1, 1), (300, 0, 0), (50, 1, 1)], 250, 600, 3, 600),
+    ([(100, 1, 0), (200, 1, 1), (300, 0, 0), (50, 1, 1)], 300, 600, 2, 300),
+    ([(0, 1, 1), (0, 1, 0), (500, 0, 0), (0, 1, 1)], 0, 500, 3, 500),
+    ([(0, 1, 1), (0, 0, 0), (0, 1, 1)], 0, 1, 3, 0),
+    ([], 100, 1000, 0, 0),
+], ids=["crossed-at-first-row", "crossed-at-last-row", "cost-lands-on-budget", "spent-crossed",
+        "spent-lands-on-budget", "zero-price-wins-then-crossing", "zero-price-wins-only",
+        "empty-batch"])
+def test_run_period_budget_edges(rows, spent, budget, n_part, cost):
+    batch = make_log([(i, 0.1, 0.1, price, c, v) for i, (price, c, v) in enumerate(rows)])
+    fb = run_period(batch, 1.0, 1800, spent, budget)
+    assert (fb.bids_participated, fb.cost) == (n_part, cost)
+    # under 8 rows numpy sums predictions in row order, so every field is equal
+    assert fb == scalar_period_replay(batch, 1.0, 1800, spent, budget)
+
+
 def scalar_period_replay(batch, u, ppc_expected, spent, budget):
     """Record-at-a-time reference for run_period, built on resolve_auction."""
     fb = PeriodFeedback()
@@ -177,6 +202,29 @@ class TestRunCampaign:
         for t in result.trace:
             fb = t.feedback
             assert fb.impressions >= fb.clicks >= fb.conversions
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), budget=st.integers(0, 60_000),
+       weights=st.tuples(st.floats(0.01, 10), st.floats(0.01, 10)))
+def test_trace_errors_and_cost_equal_array_oracles(seed, budget, weights):
+    # the trace's floats are written to trace.csv by repr, so they must be
+    # the same bits the array forms gave
+    rng = np.random.default_rng(seed)
+    constraints = ConstraintSet.ppc_and_budget(1800, max(budget, 1), ppc_weight=weights[0],
+                                               budget_weight=weights[1])
+    controller = MlpBidController(constraints, MlpControllerConfig(rng_seed=seed))
+    result = run_campaign(random_log(rng, 300), controller, constraints,
+                          SimConfig(budget=budget, period_bids=int(rng.integers(1, 40))))
+    u_prev = None
+    for t in result.trace:
+        errors = kpi_error(constraints, t.feedback)
+        du = np.array([t.u - u_prev]) if u_prev is not None else np.zeros(1)
+        j = cost_value(errors, np.array(weights), du, np.ones(1))
+        assert all(type(e) is float for e in t.errors) and type(t.j) is float
+        assert [e.hex() for e in t.errors] == [float(e).hex() for e in errors]
+        assert t.j.hex() == j.hex()
+        u_prev = t.u
 
 
 class TestBudgetSafety:

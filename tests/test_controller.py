@@ -21,21 +21,27 @@ from rtblab import (
 )
 from rtblab.controller import (
     ControllerState,
+    _normalized_step,
     apply_update,
     approx_dhdwe,
     approx_dxdu,
     backward,
     build_input,
-    cost_value,
     forward,
     init_state,
     input_dim,
-    kpi_error,
+    normalized_feedback,
     partial_j1,
     partial_j2,
     sigmoid_layer_grads,
 )
-from support import feedback
+from support import (
+    approx_dhdwe_loop,
+    cost_value,
+    feedback,
+    kpi_error,
+    normalized_step_stacked,
+)
 
 SINGLE = ConstraintSet.single_ppc(1800)
 MULTI = ConstraintSet.ppc_and_budget(1800, 100_000)
@@ -63,18 +69,19 @@ def make_state(w_enc, w_dec, u_curr=0.5, u_prev=0.5, h_curr=None, h_prev=None,
 
 class TestBuildInput:
     def test_single_constraint_no_activity(self):
-        x = build_input(SINGLE, feedback(), FeatureSet.NONE)
+        x = build_input(normalized_feedback(SINGLE, feedback()), feedback(), FeatureSet.NONE)
         assert x.tolist() == [1.0, 0.0]
 
     def test_multi_on_target_half_budget(self):
         # 25 conversions at 50k fen: achieved PPC 2000 = target, spend = half budget
         fb = feedback(conv=25, cost=50_000)
-        x = build_input(ConstraintSet.ppc_and_budget(2000, 100_000), fb, FeatureSet.NONE)
+        constraints = ConstraintSet.ppc_and_budget(2000, 100_000)
+        x = build_input(normalized_feedback(constraints, fb), fb, FeatureSet.NONE)
         assert x.tolist() == [1.0, 1.0, 1.0, 0.5]
 
     def test_full_features(self):
         fb = feedback(bids=1000, imp=100, clk=10, conv=1, cost=0, sum_pctr=5.0, sum_pcvr=20.0)
-        x = build_input(SINGLE, fb, FeatureSet.FULL)
+        x = build_input(normalized_feedback(SINGLE, fb), fb, FeatureSet.FULL)
         assert x[2:].tolist() == pytest.approx([0.1, 0.1, 0.005, 0.02])
 
     def test_dimensions_per_feature_set(self):
@@ -82,7 +89,7 @@ class TestBuildInput:
         assert input_dim(2, FeatureSet.NONE) == 4
         assert input_dim(1, FeatureSet.POSTERIOR) == 4
         for fs in FeatureSet:
-            x = build_input(MULTI, feedback(), fs)
+            x = build_input(normalized_feedback(MULTI, feedback()), feedback(), fs)
             assert x.shape[0] == input_dim(2, fs)
 
 
@@ -268,6 +275,55 @@ class TestHebbianFactor:
         out = approx_dhdwe(np.array([0.5, -1.0, 2.0]),
                            np.array([1.0, 1.0, 1.0]), np.array([0.0, 2.0, 0.5]), 0.7, 0.5)
         assert out.tolist() == [0.5, -1.0, 2.0]
+
+
+def hexes(a) -> list[str]:
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+# zero and negative zero entries are drawn often: their signs are where a
+# vectorized form could part from the loop
+_entry = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3))
+
+
+class TestAgainstArrayOracles:
+    @given(x=st.lists(_entry, min_size=1, max_size=10), data=st.data(),
+           u=st.sampled_from([0.3, 0.5, 0.7, -0.0]), u_prev=st.sampled_from([0.5, 0.0]))
+    def test_hebbian_factor_equals_loop(self, x, data, u, u_prev):
+        hidden = data.draw(st.integers(1, 8))
+        h_prev = np.array(data.draw(st.lists(_entry, min_size=hidden, max_size=hidden)))
+        deltas = np.array(data.draw(st.lists(_entry, min_size=hidden, max_size=hidden)))
+        h_curr = h_prev + deltas
+        x = np.array(x)
+        assert hexes(approx_dhdwe(x, h_curr, h_prev, u, u_prev)) == \
+            hexes(approx_dhdwe_loop(x, h_curr, h_prev, u, u_prev))
+
+    @given(shape=st.sampled_from([(1,), (8,), (1, 1), (1, 4), (8, 6)]),
+           grad_window=st.integers(1, 12), data=st.data())
+    def test_normalized_step_equals_stacked_mean(self, shape, grad_window, data):
+        size = int(np.prod(shape))
+        window = data.draw(st.integers(1, grad_window))
+        grads = [np.array(data.draw(st.lists(_entry, min_size=size, max_size=size))).reshape(shape)
+                 for _ in range(window)]
+        grad_log = deque(grads, maxlen=grad_window)
+        w = np.array(data.draw(st.lists(_entry, min_size=size, max_size=size))).reshape(shape)
+        w_new, w_old = w.copy(), w.copy()
+        assert _normalized_step(w_new, grad_log, 0.01) == \
+            normalized_step_stacked(w_old, grad_log, 0.01)
+        assert hexes(w_new) == hexes(w_old)
+
+    def test_normalized_step_equals_stacked_mean_on_long_windows(self):
+        # realistic magnitudes, over windows longer than the default of 4
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            shape = ((1,), (1, 1), (3,), (8, 6))[int(rng.integers(4))]
+            window = int(rng.integers(8, 17))
+            grad_log = deque((rng.normal(size=shape) for _ in range(window)), maxlen=window)
+            w_new = rng.normal(size=shape)
+            w_old = w_new.copy()
+            assert _normalized_step(w_new, grad_log, 0.01)
+            assert normalized_step_stacked(w_old, grad_log, 0.01)
+            assert hexes(w_new) == hexes(w_old)
 
 
 def hand_expanded_1d(q, r, target, cost, conv, cost_prev, conv_prev, resp_prev,

@@ -233,6 +233,12 @@ class TestRoundTrip:
         assert from_log.getvalue() == from_records.getvalue()
 
 
+def test_log_with_a_negative_price_is_rejected():
+    # the replay's budget search needs cumulative cost to never decrease
+    with pytest.raises(ConfigurationError, match="market prices must be >= 0"):
+        BidLog([1, 2], [0.1, 0.1], [0.1, 0.1], [5, -1], [0, 0], [0, 0])
+
+
 class TestSynthetic:
     def test_empty(self):
         assert len(generate_synthetic(SynthConfig(n_records=0))) == 0

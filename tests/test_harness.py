@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +254,33 @@ class TestEngineBytePins:
         assert sha256(paths["manifest"]) == "5bdc8fb38590c3f74b6e8690d081005bad0305c69ecb1dc108bf16b9e2ee3369"
 
 
+class TestFinePeriodBytePins:
+    """sha256 of run outputs at 10 bids per period, where the per-period
+    path (replay kernel, controller step, trace cost) dominates.  The
+    trace carries u, both errors and j at full repr precision.  Recorded
+    before the per-period path was reworked; the 3M budget is crossed
+    inside a 10-row batch by every controller, 10**12 never binds."""
+
+    @pytest.mark.parametrize("budget, metrics_pin, trace_pin", [
+        (3_000_000,
+         "f35d190416c27f241ca9f54ddbc43a87c24f4de5e9ddf41d3ad5a96e7e3cf482",
+         "08247901976a40c5f43aa86f3e6d32a96bec8bc522d431ab7a387b967d40a2ae"),
+        (10**12,
+         "1c5bbd5a06161126390fbf92575ee5c92a1b571eee03c33908e88e8a211bf642",
+         "388f3616be7356f113d6c7be049dc6cc38ad75acfc3aaa55443bf7bfa15af74c"),
+    ])
+    def test_ten_bid_periods(self, tmp_path, budget, metrics_pin, trace_pin):
+        controllers = (ControllerSpec(kind="mlp", params={"feature_set": "full"}),
+                       ControllerSpec(kind="pid"), ControllerSpec(kind="fixed"))
+        spec = small_spec(tmp_path / "out", controllers,
+                          constraints=ConstraintSet.ppc_and_budget(4400, budget, ppc_expected=15),
+                          sim=SimConfig(budget=budget, period_bids=10, dropout_p=0.2),
+                          synth=SynthConfig(n_records=5000, seed=11, **DENSE_ENV), trials=2)
+        paths = run_experiment(spec)
+        assert sha256(paths["metrics"]) == metrics_pin
+        assert sha256(paths["trace"]) == trace_pin
+
+
 class TestCliBytePins:
     """sha256 of every file that flag-built CLI runs write, manifests
     included, recorded while the CLI still built specs from its flags
@@ -417,11 +447,12 @@ class TestCli:
         ("run", {"log": 3, "sim": {"budget": 1}}, "config section 'log' must be an object"),
         ("run", {"log": {"synthetic": {}}, "sim": [1]}, "config section 'sim' must be an object"),
         ("run", {"sim": {"budget": 1}}, "config has no 'log' section"),
-        ("run", {**VALID_CONFIG, "sim": {"budget": "x"}}, "config section 'sim': invalid literal"),
+        ("run", {**VALID_CONFIG, "sim": {"budget": "x"}},
+         "config section 'sim': 'budget' must be an integer, got 'x'"),
         ("run", {**VALID_CONFIG, "controllers": 7}, "config section 'controllers' must be a list"),
-        ("run", {**VALID_CONFIG, "trials": "two"}, "'trials' and 'base_seed' must be integers"),
+        ("run", {**VALID_CONFIG, "trials": "two"}, "config: 'trials' must be an integer, got 'two'"),
         ("run", {**VALID_CONFIG, "log": {"synthetic": {"n_rows": 5}}},
-         "config section 'log': SynthConfig.__init__() got an unexpected keyword argument 'n_rows'"),
+         "config section 'log': unknown key 'n_rows'"),
         ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp", "params": {"hiden_dim": 4}}]},
          "controller 'mlp': MlpControllerConfig.__init__() got an unexpected keyword argument"),
         ("run", {**VALID_CONFIG, "constraints": {"ppc_expected": 1800,
@@ -470,6 +501,64 @@ class TestCli:
         assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
         assert message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, field, value, message", [
+        ("sim", "budget", 1000.9, "config section 'sim': 'budget' must be an integer, got 1000.9"),
+        ("sim", "period_bids", 2.7, "config section 'sim': 'period_bids' must be an integer"),
+        ("sim", "period_ms", 5000.0, "config section 'sim': 'period_ms' must be an integer"),
+        ("sim", "dropout_p", True, "config section 'sim': 'dropout_p' must be a number, got True"),
+        (None, "trials", True, "config: 'trials' must be an integer, got True"),
+        (None, "base_seed", 1.5, "config: 'base_seed' must be an integer, got 1.5"),
+        ("synthetic", "n_records", 100.5,
+         "config section 'log': 'n_records' must be an integer, got 100.5"),
+        ("synthetic", "seed", "3", "config section 'log': 'seed' must be an integer, got '3'"),
+        ("synthetic", "ctr_true", False, "config section 'log': 'ctr_true' must be a number"),
+        ("constraints", "ppc_expected", True,
+         "config section 'constraints': 'ppc_expected' must be an integer, got True"),
+        ("kpi", "target", 1800.0,
+         "config section 'constraints': 'target' must be an integer, got 1800.0"),
+        ("kpi", "error_weight", "2", "config section 'constraints': 'error_weight' must be a number"),
+        ("kpi", "error_weight", 10**400, "config section 'constraints': int too large"),
+    ], ids=["budget-float", "period_bids-float", "period_ms-float", "dropout_p-bool",
+            "trials-bool", "base_seed-float", "n_records-float", "synth-seed-string",
+            "ctr_true-bool", "ppc_expected-bool", "target-float", "error_weight-string",
+            "error_weight-huge-int"])
+    def test_config_number_of_wrong_type_is_one_line_error(self, tmp_path, monkeypatch, capsys,
+                                                          section, field, value, message):
+        # each of these used to run (cast by int()/float()) or end in a traceback
+        monkeypatch.chdir(tmp_path)
+        doc = json.loads(json.dumps(VALID_CONFIG))
+        {None: doc, "sim": doc["sim"], "synthetic": doc["log"]["synthetic"],
+         "constraints": doc["constraints"], "kpi": doc["constraints"]["kpis"][0]}[section][field] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        rc = main(["run", "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablation"])
+    def test_sweep_manifest_under_another_command_is_one_line_error(self, tmp_path, capsys,
+                                                                    command):
+        # a sweep manifest used to run its spec once, its p_list ignored
+        spec = small_spec(tmp_path / "a", (ControllerSpec(kind="mlp"),), trials=2)
+        paths = sweep_sparsity(spec, [0.25, 0.75])
+        rc = main([command, "--config", str(paths["manifest"]), "--out", str(tmp_path / "b")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
+        assert f"a manifest of command 'sweep-sparsity' cannot be run by '{command}'" in err
+        assert not (tmp_path / "b").exists()
+
+    def test_python_dash_m_runs_from_a_source_checkout(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "rtblab", "--help"], capture_output=True,
+                              text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: rtblab")
 
     @pytest.mark.parametrize("flag", [
         ["--log", "log.csv"], ["--synthetic", "400"], ["--synth-seed", "0"],
