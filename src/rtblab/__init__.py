@@ -25,7 +25,6 @@ from .controller import (
     MlpControllerConfig,
 )
 from .core import (
-    BidRecord,
     CampaignMetrics,
     ConfigurationError,
     ConstraintSet,
@@ -59,7 +58,7 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BidLog", "BidRecord", "BudgetErrorMode", "CampaignMetrics", "CampaignResult",
+    "BidLog", "BudgetErrorMode", "CampaignMetrics", "CampaignResult",
     "ColumnMap", "ConfigurationError", "ConstraintSet", "ControllerSpec",
     "ControllerState", "ExperimentSpec", "FeatureSet", "FixedBidController",
     "InsufficientHistory", "KpiConstraint", "KpiKind", "LabelViolation",

@@ -64,13 +64,16 @@ class PidController:
         pass
 
 
+@dataclass(frozen=True)
 class FixedBidController:
-    """Control-free reference: the same multiplier every period."""
+    """Control-free reference: the same multiplier every period.  It holds
+    no state, so it is its own config."""
 
-    def __init__(self, u_const: float = 1.0):
-        if u_const <= 0:
+    u_const: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.u_const <= 0:
             raise ConfigurationError("u_const must be positive")
-        self.u_const = u_const
 
     def begin_period(self, feedback: PeriodFeedback) -> float:
         return self.u_const

@@ -23,18 +23,29 @@ from .data import (
     serialize_canonical,
 )
 from .harness import (
+    CONTROLLER_KINDS,
     PRESETS,
     ExperimentSpec,
     run_ablation,
     run_experiment,
     spec_from_dict,
     sweep_sparsity,
+    synth_from_dict,
 )
 
 # The flags that describe a spec; --config describes it instead.
 _SPEC_FLAGS = ("--log", "--synthetic", "--synth-seed", "--controller", "--preset", "--budget",
                "--ppc-target", "--ppc-expected", "--multi", "--period-bids", "--period-ms",
                "--dropout", "--seed")
+# gen-synthetic's optional flags: (flag, SynthConfig field, help); each
+# default is the field's.
+_SYNTH_FLAGS = (("--ctr", "ctr_true", "true click rate"),
+                ("--cvr", "cvr_true", "true conversion rate per click"),
+                ("--price-log-mean", "price_log_mean", "log-normal price mu"),
+                ("--price-log-sigma", "price_log_sigma", "log-normal price sigma"),
+                ("--pctr-noise", "pctr_noise", "multiplicative pCTR noise scale"),
+                ("--pcvr-noise", "pcvr_noise", "multiplicative pCVR noise scale"),
+                ("--seed", "seed", "generator seed"))
 
 
 def _add_spec_flags(p: argparse.ArgumentParser, default_trials: int = 1) -> None:
@@ -44,7 +55,7 @@ def _add_spec_flags(p: argparse.ArgumentParser, default_trials: int = 1) -> None
     p.add_argument("--synthetic", type=int, metavar="N",
                    help="generate an N-record synthetic log instead of reading one")
     p.add_argument("--synth-seed", type=int, help="synthetic log seed (default 0)")
-    p.add_argument("--controller", action="append", choices=["mlp", "pid", "fixed"],
+    p.add_argument("--controller", action="append", choices=CONTROLLER_KINDS,
                    help="controller to run; repeat the flag to compare several (default: mlp)")
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="benchmark preset: adequate (budget 182344, PPC 1800) "
@@ -150,11 +161,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    config = SynthConfig(
-        n_records=args.n, ctr_true=args.ctr, cvr_true=args.cvr,
-        price_log_mean=args.price_log_mean, price_log_sigma=args.price_log_sigma,
-        pctr_noise=args.pctr_noise, pcvr_noise=args.pcvr_noise, seed=args.seed,
-    )
+    given = {name: getattr(args, flag[2:].replace("-", "_")) for flag, name, _ in _SYNTH_FLAGS}
+    config = synth_from_dict(_given(n_records=args.n, **given), "gen-synthetic")
     log = generate_synthetic(config)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         serialize_canonical(log, fh)
@@ -167,6 +175,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                         market_price=args.col_price, click=args.col_click,
                         conversion=args.col_conversion)
     delimiter = "\t" if args.delimiter == "tab" else args.delimiter
+    if not delimiter:
+        raise ConfigurationError("--delimiter must not be empty")
     n = 0
     # surrogateescape: a byte that is not UTF-8 fails the field check of its line
     with open(args.infile, "r", encoding="utf-8", errors="surrogateescape") as src, \
@@ -203,18 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-synthetic", help="write a seeded synthetic canonical log")
     p_gen.add_argument("--n", type=int, required=True, help="number of records")
-    p_gen.add_argument("--ctr", type=float, default=0.05, help="true click rate (default 0.05)")
-    p_gen.add_argument("--cvr", type=float, default=0.2,
-                       help="true conversion rate per click (default 0.2)")
-    p_gen.add_argument("--price-log-mean", type=float, default=4.0,
-                       help="log-normal price mu (default 4.0)")
-    p_gen.add_argument("--price-log-sigma", type=float, default=0.8,
-                       help="log-normal price sigma (default 0.8)")
-    p_gen.add_argument("--pctr-noise", type=float, default=0.1,
-                       help="multiplicative pCTR noise scale (default 0.1)")
-    p_gen.add_argument("--pcvr-noise", type=float, default=0.1,
-                       help="multiplicative pCVR noise scale (default 0.1)")
-    p_gen.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    defaults = SynthConfig()
+    for flag, name, what in _SYNTH_FLAGS:
+        default = getattr(defaults, name)
+        p_gen.add_argument(flag, type=type(default), help=f"{what} (default {default})")
     p_gen.add_argument("--out", required=True, help="output CSV path")
     p_gen.set_defaults(func=_cmd_gen_synthetic)
 

@@ -24,23 +24,6 @@ class KpiKind(Enum):
 
 
 @dataclass(frozen=True)
-class BidRecord:
-    """One replayable auction opportunity.
-
-    ``market_price`` (fen, CPM scale) is the price the adjusted bid has to
-    beat; on a win it is also the amount charged (second price).
-    ``conversion`` implies ``click``; ingestion rejects rows violating it.
-    """
-
-    ts: int
-    pctr: float
-    pcvr: float
-    market_price: int
-    click: bool
-    conversion: bool
-
-
-@dataclass(frozen=True)
 class KpiConstraint:
     """A tracked KPI with its target and quadratic error weight."""
 

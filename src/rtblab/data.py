@@ -6,10 +6,11 @@ timestamps (nondecreasing), probabilities with up to six fraction digits,
 integer fen prices, 0/1 labels.  ``BidLog.from_csv`` reads a log
 columnar, with numpy's C reader and whole-column checks, so its memory is
 proportional to the row count; ``parse_canonical`` is the streaming
-(constant-memory) parser and the error oracle: any file the columnar reader
-does not accept is re-read by it, which raises the first bad row with its
-line number.  The replay-facing ``BidLog`` is a column-oriented view built
-once per run.
+(constant-memory) parser and the error oracle: it yields each row as a
+``(ts, pctr, pcvr, market_price, click, conversion)`` tuple, and any file
+the columnar reader does not accept is re-read by it, which raises the
+first bad row with its line number.  The replay-facing ``BidLog`` is a
+column-oriented view built once per run.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import BidRecord, ConfigurationError
+from .core import ConfigurationError
 
 CANONICAL_HEADER = "ts,pctr,pcvr,market_price,click,conversion"
 _CANONICAL_FIELDS = CANONICAL_HEADER.split(",")
@@ -51,7 +52,7 @@ class LabelViolation(LogFormatError):
     pass
 
 
-def _parse_row(fields: Sequence[str], line_no: int, last_ts: int | None) -> BidRecord:
+def _parse_row(fields: Sequence[str], line_no: int, last_ts: int | None) -> tuple:
     if len(fields) != 6:
         raise MalformedRow(line_no, f"expected 6 fields, got {len(fields)}")
     try:
@@ -75,11 +76,10 @@ def _parse_row(fields: Sequence[str], line_no: int, last_ts: int | None) -> BidR
         raise LabelViolation(line_no, "conversion without click")
     if last_ts is not None and ts < last_ts:
         raise NonMonotonicTimestamp(line_no, f"timestamp {ts} < previous {last_ts}")
-    return BidRecord(ts=ts, pctr=pctr, pcvr=pcvr, market_price=price,
-                     click=bool(click), conversion=bool(conversion))
+    return ts, pctr, pcvr, price, bool(click), bool(conversion)
 
 
-def parse_canonical(stream: Iterable[str]) -> Iterator[BidRecord]:
+def parse_canonical(stream: Iterable[str]) -> Iterator[tuple]:
     """Parse a canonical log lazily; the first bad row aborts with its line number."""
     lines = iter(stream)
     try:
@@ -93,14 +93,13 @@ def parse_canonical(stream: Iterable[str]) -> Iterator[BidRecord]:
         stripped = line.rstrip("\r\n")
         if not stripped:
             continue
-        record = _parse_row(stripped.split(","), line_no, last_ts)
-        last_ts = record.ts
-        yield record
+        row = _parse_row(stripped.split(","), line_no, last_ts)
+        last_ts = row[0]
+        yield row
 
 
-def serialize_canonical(records: "BidLog | Iterable[BidRecord]", stream) -> None:
-    """Write records in the canonical format (probabilities at 6 fraction digits)."""
-    log = records if isinstance(records, BidLog) else BidLog.from_records(records)
+def serialize_canonical(log: BidLog, stream) -> None:
+    """Write a log in the canonical format (probabilities at 6 fraction digits)."""
     stream.write(CANONICAL_HEADER + "\n")
     for lo in range(0, len(log), _SERIALIZE_CHUNK_ROWS):
         hi = lo + _SERIALIZE_CHUNK_ROWS
@@ -159,8 +158,7 @@ def convert_ipinyou(stream: Iterable[str], columns: ColumnMap,
         if len(raw) <= columns.max_index:
             raise MalformedRow(line_no, f"row has {len(raw)} fields, column map needs {columns.max_index + 1}")
         fields = [raw[getattr(columns, name)] for name in _CANONICAL_FIELDS]
-        record = _parse_row(fields, line_no, last_ts)  # validation only
-        last_ts = record.ts
+        last_ts = _parse_row(fields, line_no, last_ts)[0]  # validation only
         yield ",".join(fields) + "\n"
 
 
@@ -197,9 +195,8 @@ class SynthConfig:
 class BidLog:
     """Column-oriented bid log: one numpy array per canonical field.
 
-    Iterating yields ``BidRecord`` values; slicing via :meth:`segment` and
-    masking via :meth:`filter` return views/copies sharing no mutable state
-    with the original.
+    Slicing via :meth:`segment` and masking via :meth:`filter` return
+    views/copies sharing no mutable state with the original.
     """
 
     __slots__ = ("ts", "pctr", "pcvr", "market_price", "click", "conversion")
@@ -225,14 +222,6 @@ class BidLog:
     def __len__(self) -> int:
         return self.ts.shape[0]
 
-    def __iter__(self) -> Iterator[BidRecord]:
-        for i in range(len(self)):
-            yield BidRecord(
-                ts=int(self.ts[i]), pctr=float(self.pctr[i]), pcvr=float(self.pcvr[i]),
-                market_price=int(self.market_price[i]),
-                click=bool(self.click[i]), conversion=bool(self.conversion[i]),
-            )
-
     def segment(self, lo: int, hi: int) -> "BidLog":
         return BidLog._of(self.ts[lo:hi], self.pctr[lo:hi], self.pcvr[lo:hi],
                           self.market_price[lo:hi], self.click[lo:hi], self.conversion[lo:hi])
@@ -243,20 +232,10 @@ class BidLog:
         return BidLog._of(self.ts[mask], self.pctr[mask], self.pcvr[mask],
                           self.market_price[mask], self.click[mask], self.conversion[mask])
 
-    def max_price(self) -> int:
-        return int(self.market_price.max()) if len(self) else 0
-
     @classmethod
-    def from_records(cls, records: Iterable[BidRecord]) -> "BidLog":
-        cols: tuple[list, ...] = ([], [], [], [], [], [])
-        for r in records:
-            cols[0].append(r.ts)
-            cols[1].append(r.pctr)
-            cols[2].append(r.pcvr)
-            cols[3].append(r.market_price)
-            cols[4].append(r.click)
-            cols[5].append(r.conversion)
-        return cls(*cols)
+    def from_records(cls, rows: Iterable[tuple]) -> "BidLog":
+        """A log of ``(ts, pctr, pcvr, market_price, click, conversion)`` rows."""
+        return cls(*(list(zip(*rows)) or [()] * 6))
 
     @classmethod
     def from_csv(cls, path) -> "BidLog":

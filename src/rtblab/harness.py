@@ -11,7 +11,6 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from numbers import Integral
 from pathlib import Path
 from typing import Collection, Iterator, Mapping, Sequence, get_type_hints
 
@@ -19,11 +18,13 @@ import numpy as np
 
 from .auction import CampaignResult, SimConfig, run_campaign
 from .baselines import FixedBidController, PidConfig, PidController
-from .controller import BudgetErrorMode, FeatureSet, MlpBidController, MlpControllerConfig
+from .controller import FeatureSet, MlpBidController, MlpControllerConfig
 from .core import ConfigurationError, ConstraintSet, KpiConstraint, KpiKind
 from .data import BidLog, SynthConfig, generate_synthetic
 
-CONTROLLER_KINDS = ("mlp", "pid", "fixed")
+# Each controller kind and the config dataclass its ``params`` are read into.
+_CONTROLLER_CONFIGS = {"mlp": MlpControllerConfig, "pid": PidConfig, "fixed": FixedBidController}
+CONTROLLER_KINDS = tuple(_CONTROLLER_CONFIGS)
 
 # Reference benchmark presets (budget fen, expected PPC fen)
 PRESETS = {
@@ -51,20 +52,21 @@ def _fields_of(where: str) -> Iterator[None]:
 
 @dataclass(frozen=True)
 class ControllerSpec:
+    """A controller of ``kind``.  ``params`` is kept as given, for the
+    manifest; ``config`` is the same read once into the kind's config."""
+
     kind: str
     name: str = ""
     params: Mapping = field(default_factory=dict)
+    config: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in CONTROLLER_KINDS:
             raise ConfigurationError(f"unknown controller kind {self.kind!r}, expected one of {CONTROLLER_KINDS}")
-        if not isinstance(self.params, Mapping):
-            raise ConfigurationError(f"controller params must be an object, got {type(self.params).__name__}")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
-        if not isinstance(self.params.get("rng_seed", 0), Integral):
-            raise ConfigurationError(f"controller {self.name!r}: rng_seed must be an integer, "
-                                     f"got {self.params['rng_seed']!r}")
+        with _fields_of(f"controller {self.name!r}"):
+            object.__setattr__(self, "config", _read(_CONTROLLER_CONFIGS[self.kind], self.params))
 
 
 @dataclass(frozen=True)
@@ -99,18 +101,11 @@ class ExperimentSpec:
 
 
 def build_controller(cspec: ControllerSpec, constraints: ConstraintSet, seed: int):
-    params = dict(cspec.params)
-    with _fields_of(f"controller {cspec.name!r}"):
-        if cspec.kind == "mlp":
-            params.pop("rng_seed", None)
-            if "feature_set" in params:
-                params["feature_set"] = FeatureSet(params["feature_set"])
-            if "budget_error_mode" in params:
-                params["budget_error_mode"] = BudgetErrorMode(params["budget_error_mode"])
-            return MlpBidController(constraints, MlpControllerConfig(rng_seed=seed, **params))
-        if cspec.kind == "pid":
-            return PidController(constraints, PidConfig(**params))
-        return FixedBidController(**params)
+    if cspec.kind == "mlp":
+        return MlpBidController(constraints, replace(cspec.config, rng_seed=seed))
+    if cspec.kind == "pid":
+        return PidController(constraints, cspec.config)
+    return cspec.config  # a FixedBidController holds no state
 
 
 def load_log(spec: ExperimentSpec) -> BidLog:
@@ -150,7 +145,7 @@ def _cells(spec: ExperimentSpec, conditions: Sequence[_Condition]) -> Iterator[t
             sim = replace(spec.sim, dropout_p=cond.dropout_p,
                           dropout_seed=derive_seed(spec.base_seed, trial))
             for idx, cspec in enumerate(cond.controllers):
-                seed = derive_seed(int(cspec.params.get("rng_seed", spec.base_seed)), trial, idx)
+                seed = derive_seed(cspec.params.get("rng_seed", spec.base_seed), trial, idx)
                 controller = build_controller(cspec, spec.constraints, seed)
                 yield cond, trial, cspec, run_campaign(log, controller, spec.constraints, sim)
 
@@ -260,9 +255,13 @@ def _known(d, keys: Collection[str], required: Sequence[str] = ()) -> Mapping:
 
 def _as(kind: type, key: str, value):
     """Field ``key`` of type ``kind`` read from a JSON value: an int only
-    from a JSON integer, a float from any JSON number, neither from a bool."""
+    from a JSON integer, a finite float from any JSON number, neither from
+    a bool; an enum from its value."""
     if kind is float and type(value) in (int, float):
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"{key!r} must be finite, got {value!r}")
+        return value
     if kind in (int, float) and type(value) is not kind:
         raise TypeError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     return kind(value)
@@ -273,6 +272,12 @@ def _read(cls: type, d, required: Sequence[str] = ()):
     hints = get_type_hints(cls)
     return cls(**{key: _as(hints[key], key, value)
                   for key, value in _known(d, hints, required).items()})
+
+
+def synth_from_dict(d: Mapping, where: str) -> SynthConfig:
+    """The synthetic-log config of an object; a field left out takes its default."""
+    with _fields_of(where):
+        return _read(SynthConfig, d)
 
 
 def spec_from_dict(d: Mapping) -> ExperimentSpec:
@@ -288,7 +293,9 @@ def spec_from_dict(d: Mapping) -> ExperimentSpec:
     log = _section(d, "log")
     with _fields_of("config section 'log'"):
         _known(log, ("path", "synthetic"))
-        synth = _read(SynthConfig, log["synthetic"]) if "synthetic" in log else None
+    synth = None
+    if "synthetic" in log:
+        synth = synth_from_dict(log["synthetic"], "config section 'log'")
     sim_d = _section(d, "sim")
     with _fields_of("config section 'sim'"):
         sim = _read(SimConfig, sim_d, ["budget"])

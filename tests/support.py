@@ -7,11 +7,45 @@ vectorized simulator it checks.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
-from rtblab import BidLog, BidRecord, BudgetErrorMode, KpiKind, PeriodFeedback, feedback_value
+from rtblab import BidLog, BudgetErrorMode, KpiKind, PeriodFeedback, feedback_value
+
+
+@dataclass(frozen=True)
+class BidRecord:
+    """One replayable auction opportunity.
+
+    ``market_price`` (fen, CPM scale) is the price the adjusted bid has to
+    beat; on a win it is also the amount charged (second price).
+    ``conversion`` implies ``click``; ingestion rejects rows violating it.
+    """
+
+    ts: int
+    pctr: float
+    pcvr: float
+    market_price: int
+    click: bool
+    conversion: bool
+
+
+def records(log: BidLog) -> Iterator[BidRecord]:
+    """The rows of a log, one ``BidRecord`` at a time, as Python scalars."""
+    for i in range(len(log)):
+        yield BidRecord(
+            ts=int(log.ts[i]), pctr=float(log.pctr[i]), pcvr=float(log.pcvr[i]),
+            market_price=int(log.market_price[i]),
+            click=bool(log.click[i]), conversion=bool(log.conversion[i]),
+        )
+
+
+def max_price(log: BidLog) -> int:
+    """The highest market price in a log; 0 for an empty log."""
+    return int(log.market_price.max()) if len(log) else 0
 
 
 def adjusted_ecpm(record: BidRecord, ppc_expected: float, u: float) -> float:
@@ -69,10 +103,7 @@ def mask_dropout(log: BidLog, p: float, seed: int) -> BidLog:
 
 def make_log(rows) -> BidLog:
     """rows: iterable of (ts, pctr, pcvr, price, click, conversion)."""
-    return BidLog.from_records(
-        BidRecord(ts=t, pctr=p, pcvr=q, market_price=m, click=bool(c), conversion=bool(v))
-        for (t, p, q, m, c, v) in rows
-    )
+    return BidLog.from_records(rows)
 
 
 def random_log(rng: np.random.Generator, n: int, price_hi: int = 200) -> BidLog:

@@ -32,6 +32,7 @@ from rtblab import (
 )
 from rtblab.controller import backward, partial_j1, partial_j2, sigmoid_layer_grads
 from rtblab.harness import spec_from_dict, spec_to_dict
+from support import max_price, records
 
 # conversion-dense monotone environment used by the closed-loop criteria
 DENSE_ENV = dict(ctr_true=0.6, cvr_true=0.8, price_log_mean=8.19, price_log_sigma=0.8,
@@ -218,7 +219,7 @@ def test_04_budget_safety_over_random_campaigns():
         else:
             controller = MlpBidController(constraints, MlpControllerConfig(rng_seed=i))
         result = run_campaign(log, controller, constraints, sim)
-        assert result.metrics.cost <= budget + log.max_price(), f"campaign {i} overspent"
+        assert result.metrics.cost <= budget + max_price(log), f"campaign {i} overspent"
         if result.terminated:
             assert result.metrics.cost >= budget
         checked += 1
@@ -257,7 +258,7 @@ def test_05_brute_force_replay_equivalence():
         # independent naive replay: no periods, no batching, no numpy
         imp = clk = conv = 0
         spent = 0
-        for r in log:
+        for r in records(log):
             if spent >= budget:
                 break
             if 1000.0 * r.pctr * r.pcvr * ppc_e * u > r.market_price:
@@ -336,12 +337,12 @@ def test_08_sparsity_sweep_behavior(tmp_path):
     )
     p_list = [round(0.1 * k, 1) for k in range(1, 10)]
     paths = sweep_sparsity(spec, p_list)
-    max_price = generate_synthetic(synth).max_price()
+    top_price = max_price(generate_synthetic(synth))
 
     raw = [line.split(",") for line in
            paths["trials"].read_text().splitlines()[1:]]
     assert len(raw) == 900
-    safety = all(int(row[7]) <= 12_000_000 + max_price for row in raw)
+    safety = all(int(row[7]) <= 12_000_000 + top_price for row in raw)
 
     summary = [line.split(",") for line in
                paths["sweep"].read_text().splitlines()[1:]]

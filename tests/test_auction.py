@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from rtblab import (
     BidLog,
-    BidRecord,
     ConstraintSet,
     FixedBidController,
     MlpBidController,
@@ -20,12 +19,15 @@ from rtblab import (
 from rtblab.auction import _kept_indices
 from support import (
     AuctionOutcome,
+    BidRecord,
     cost_value,
     kpi_error,
     make_log,
     mask_dropout,
+    max_price,
     naive_replay,
     random_log,
+    records,
     resolve_auction,
 )
 
@@ -128,7 +130,7 @@ def test_run_period_budget_edges(rows, spent, budget, n_part, cost):
 def scalar_period_replay(batch, u, ppc_expected, spent, budget):
     """Record-at-a-time reference for run_period, built on resolve_auction."""
     fb = PeriodFeedback()
-    for r in batch:
+    for r in records(batch):
         outcome, cost = resolve_auction(
             r, 1000.0 * r.pctr * r.pcvr * ppc_expected * u, budget - (spent + fb.cost))
         if outcome is AuctionOutcome.TERMINATED:
@@ -184,7 +186,7 @@ class TestRunCampaign:
         log = random_log(rng, 10)
         result = run_campaign(log, FixedBidController(1.0), CONSTRAINTS,
                               SimConfig(budget=10**9, period_bids=3))
-        imp, clk, conv, spent = naive_replay(list(log), 1.0, 1800, 10**9)
+        imp, clk, conv, spent = naive_replay(records(log), 1.0, 1800, 10**9)
         m = result.metrics
         assert (m.imp, m.clk, m.conv, m.cost) == (imp, clk, conv, spent)
 
@@ -236,7 +238,7 @@ class TestBudgetSafety:
             u = float(rng.uniform(0.1, 2.0))
             result = run_campaign(log, FixedBidController(u), CONSTRAINTS,
                                   SimConfig(budget=budget, period_bids=64))
-            assert result.metrics.cost <= budget + log.max_price()
+            assert result.metrics.cost <= budget + max_price(log)
             if result.terminated:
                 assert result.metrics.cost >= budget
 
@@ -246,7 +248,7 @@ class TestBudgetSafety:
         budget = 20_000
         result = run_campaign(log, FixedBidController(1.0), CONSTRAINTS,
                               SimConfig(budget=budget, period_bids=128))
-        imp, clk, conv, spent = naive_replay(list(log), 1.0, 1800, budget)
+        imp, clk, conv, spent = naive_replay(records(log), 1.0, 1800, budget)
         assert result.metrics.cost == spent
         assert result.metrics.imp == imp
 
@@ -271,7 +273,7 @@ def test_second_price_bound():
     rng = np.random.default_rng(47)
     log = random_log(rng, 500)
     u, ppc_e = 0.9, 1800
-    for r in log:
+    for r in records(log):
         outcome, cost = resolve_auction(r, 1000.0 * r.pctr * r.pcvr * ppc_e * u, 10**9)
         if outcome is AuctionOutcome.WIN:
             assert cost <= 1000.0 * r.pctr * r.pcvr * ppc_e * u
@@ -354,7 +356,7 @@ class TestControllerWiring:
         config = MlpControllerConfig(rng_seed=2, budget_error_mode=BudgetErrorMode.PACED)
         result = run_campaign(log, MlpBidController(constraints, config), constraints,
                               SimConfig(budget=40_000, period_bids=200))
-        assert result.metrics.cost <= 40_000 + log.max_price()
+        assert result.metrics.cost <= 40_000 + max_price(log)
         assert all(0.0 < t.u < 1.0 for t in result.trace)
 
 

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rtblab import (
-    BidRecord,
     ConfigurationError,
     ConstraintSet,
     KpiConstraint,
@@ -12,7 +11,7 @@ from rtblab import (
     compute_metrics,
     feedback_value,
 )
-from support import adjusted_ecpm, feedback
+from support import BidRecord, adjusted_ecpm, feedback
 
 
 class TestComputeMetrics:

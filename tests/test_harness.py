@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from rtblab import (
+    BidLog,
     ConstraintSet,
     ControllerSpec,
     ExperimentSpec,
@@ -29,7 +31,7 @@ from rtblab.auction import PeriodMode, _kept_indices
 from rtblab import cli
 from rtblab.cli import build_parser, main
 from rtblab.harness import derive_seed, spec_from_dict, spec_to_dict
-from support import naive_replay
+from support import naive_replay, records
 
 CONSTRAINTS = ConstraintSet.single_ppc(1800)
 # The acceptance suite's dense environment, where the controllers have authority.
@@ -77,7 +79,7 @@ class TestRunExperiment:
         spec = small_spec(tmp_path / "out", log_path=str(log_file), synth=None,
                           sim=SimConfig(budget=10**9, period_bids=3))
         paths = run_experiment(spec)
-        imp, clk, conv, spent = naive_replay(list(log), 1.0, 1800, 10**9)
+        imp, clk, conv, spent = naive_replay(records(log), 1.0, 1800, 10**9)
         ppc = repr(spent / conv) if conv else ""
         expected = (
             "controller,trial,imp,clk,conv,cost,ppc\n"
@@ -387,8 +389,25 @@ class TestCli:
         out = tmp_path / "log.csv"
         rc = main(["gen-synthetic", "--n", "100", "--seed", "3", "--out", str(out)])
         assert rc == 0
-        from rtblab import BidLog
+        # a flag left out takes SynthConfig's default
+        expected = io.StringIO()
+        serialize_canonical(generate_synthetic(SynthConfig(n_records=100, seed=3)), expected)
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
         assert len(BidLog.from_csv(out)) == 100
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--pctr-noise", "nan", "gen-synthetic: 'pctr_noise' must be finite, got nan"),
+        ("--price-log-sigma", "nan", "gen-synthetic: 'price_log_sigma' must be finite, got nan"),
+    ])
+    def test_gen_synthetic_non_finite_flag_is_one_line_error(self, tmp_path, capsys,
+                                                             flag, value, message):
+        # --pctr-noise nan used to exit 0 and write predictions of nan
+        out = tmp_path / "log.csv"
+        rc = main(["gen-synthetic", "--n", "100", flag, value, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: ConfigurationError: {message}\n"
+        assert not out.exists()
 
     def test_convert_ipinyou_cli(self, tmp_path):
         raw = tmp_path / "raw.tsv"
@@ -399,6 +418,19 @@ class TestCli:
                    "--col-price", "3", "--col-click", "4", "--col-conversion", "5"])
         assert rc == 0
         assert out.read_text().splitlines()[1] == "10,0.01,0.02,70,0,0"
+
+    def test_convert_ipinyou_empty_delimiter_is_one_line_error(self, tmp_path, capsys):
+        # used to end in a ValueError: empty separator traceback
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("10\t0.01\t0.02\t70\t0\t0\n")
+        out = tmp_path / "canonical.csv"
+        rc = main(["convert-ipinyou", "--in", str(raw), "--out", str(out), "--delimiter", "",
+                   "--col-ts", "0", "--col-pctr", "1", "--col-pcvr", "2",
+                   "--col-price", "3", "--col-click", "4", "--col-conversion", "5"])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: ConfigurationError: "
+                                           "--delimiter must not be empty\n")
+        assert not out.exists()
 
     def test_missing_log_exits_nonzero(self, tmp_path, capsys):
         rc = main(["run", "--log", str(tmp_path / "nope.csv"), "--budget", "1000",
@@ -454,7 +486,7 @@ class TestCli:
         ("run", {**VALID_CONFIG, "log": {"synthetic": {"n_rows": 5}}},
          "config section 'log': unknown key 'n_rows'"),
         ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp", "params": {"hiden_dim": 4}}]},
-         "controller 'mlp': MlpControllerConfig.__init__() got an unexpected keyword argument"),
+         "controller 'mlp': unknown key 'hiden_dim'"),
         ("run", {**VALID_CONFIG, "constraints": {"ppc_expected": 1800,
                                                  "kpis": [{"kind": "nope", "target": 1}]}},
          "config section 'constraints': 'nope' is not a valid KpiKind"),
@@ -463,7 +495,21 @@ class TestCli:
         ("run", {**VALID_CONFIG, "log": {"path": 7}}, "log path and out_dir must be strings"),
         ("run", {**VALID_CONFIG, "out_dir": 7}, "log path and out_dir must be strings"),
         ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp", "params": {"rng_seed": "x"}}]},
-         "controller 'mlp': rng_seed must be an integer, got 'x'"),
+         "controller 'mlp': 'rng_seed' must be an integer, got 'x'"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp", "params": {"rng_seed": True}}]},
+         "controller 'mlp': 'rng_seed' must be an integer, got True"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp", "params": {"grad_window": True}}]},
+         "controller 'mlp': 'grad_window' must be an integer, got True"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp",
+                                                  "params": {"learning_rate": float("nan")}}]},
+         "controller 'mlp': 'learning_rate' must be finite, got nan"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "pid", "params": {"kp": float("inf")}}]},
+         "controller 'pid': 'kp' must be finite, got inf"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "pid", "params": {"rng_seed": 1}}]},
+         "controller 'pid': unknown key 'rng_seed'"),
+        ("ablation", {**VALID_CONFIG, "controllers": [{"kind": "mlp",
+                                                       "params": {"feature_set": "most"}}]},
+         "controller 'mlp': 'most' is not a valid FeatureSet"),
         ("run", {**VALID_CONFIG, "sim": {"budget": 50_000, "period_bid": 10}},
          "config section 'sim': unknown key 'period_bid'"),
         ("run", {**VALID_CONFIG, "trails": 5}, "config: unknown key 'trails'"),
@@ -486,10 +532,11 @@ class TestCli:
             "log-missing", "budget-not-int", "controllers-not-list", "trials-not-int",
             "unknown-synthetic-key", "unknown-controller-param", "unknown-kpi-kind",
             "controller-without-kind", "log-path-not-string", "out-dir-not-string",
-            "rng-seed-not-int", "unknown-sim-key", "unknown-top-level-key",
-            "unknown-top-level-keys", "unknown-controller-key", "unknown-kpi-key",
-            "unknown-constraints-key", "unknown-log-key", "unknown-manifest-key",
-            "nonzero-dropout-seed"])
+            "rng-seed-not-int", "rng-seed-bool", "grad-window-bool", "learning-rate-nan",
+            "kp-infinity", "pid-rng-seed", "unknown-feature-set", "unknown-sim-key",
+            "unknown-top-level-key", "unknown-top-level-keys", "unknown-controller-key",
+            "unknown-kpi-key", "unknown-constraints-key", "unknown-log-key",
+            "unknown-manifest-key", "nonzero-dropout-seed"])
     def test_config_of_wrong_shape_is_one_line_error(self, tmp_path, monkeypatch, capsys,
                                                      command, doc, message):
         monkeypatch.chdir(tmp_path)
@@ -519,17 +566,27 @@ class TestCli:
          "config section 'constraints': 'target' must be an integer, got 1800.0"),
         ("kpi", "error_weight", "2", "config section 'constraints': 'error_weight' must be a number"),
         ("kpi", "error_weight", 10**400, "config section 'constraints': int too large"),
+        ("kpi", "error_weight", float("nan"),
+         "config section 'constraints': 'error_weight' must be finite, got nan"),
+        ("synthetic", "price_log_mean", float("nan"),
+         "config section 'log': 'price_log_mean' must be finite, got nan"),
+        ("controller", "u_const", float("nan"),
+         "controller 'fixed': 'u_const' must be finite, got nan"),
+        ("controller", "u_const", True,
+         "controller 'fixed': 'u_const' must be a number, got True"),
     ], ids=["budget-float", "period_bids-float", "period_ms-float", "dropout_p-bool",
             "trials-bool", "base_seed-float", "n_records-float", "synth-seed-string",
             "ctr_true-bool", "ppc_expected-bool", "target-float", "error_weight-string",
-            "error_weight-huge-int"])
+            "error_weight-huge-int", "error_weight-nan", "price_log_mean-nan",
+            "u_const-nan", "u_const-bool"])
     def test_config_number_of_wrong_type_is_one_line_error(self, tmp_path, monkeypatch, capsys,
                                                           section, field, value, message):
         # each of these used to run (cast by int()/float()) or end in a traceback
         monkeypatch.chdir(tmp_path)
         doc = json.loads(json.dumps(VALID_CONFIG))
         {None: doc, "sim": doc["sim"], "synthetic": doc["log"]["synthetic"],
-         "constraints": doc["constraints"], "kpi": doc["constraints"]["kpis"][0]}[section][field] = value
+         "constraints": doc["constraints"], "kpi": doc["constraints"]["kpis"][0],
+         "controller": doc["controllers"][0].setdefault("params", {})}[section][field] = value
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         rc = main(["run", "--config", str(config)])
@@ -699,16 +756,26 @@ class TestReadmeCli:
             "gen-synthetic", "run", "sweep-sparsity", "ablation", "convert-ipinyou"}
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
-    def test_example_parses_and_builds_its_spec(self, argv, monkeypatch):
+    def test_example_parses_and_builds_its_spec(self, argv, monkeypatch, tmp_path):
         built = []
 
         def record(spec, *levels):
             built.append(spec)
             return {}
+
+        def generate(config):
+            built.append(config)
+            return generate_synthetic(SynthConfig(n_records=0))
         for driver in ("run_experiment", "sweep_sparsity", "run_ablation"):
             monkeypatch.setattr(cli, driver, record)
+        monkeypatch.setattr(cli, "generate_synthetic", generate)
+        monkeypatch.chdir(tmp_path)
         args = build_parser().parse_args(argv)
-        if argv[0] in ("gen-synthetic", "convert-ipinyou"):
-            return  # parsed only: running them reads or writes real files
+        if argv[0] == "convert-ipinyou":
+            return  # parsed only: running it reads a real file
         assert args.func(args) == 0
-        assert len(built) == 1 and isinstance(built[0], ExperimentSpec)
+        if argv[0] == "gen-synthetic":
+            # every flag the example leaves out takes SynthConfig's default
+            assert built == [SynthConfig(n_records=100000, ctr_true=0.05, cvr_true=0.2, seed=7)]
+        else:
+            assert len(built) == 1 and isinstance(built[0], ExperimentSpec)
