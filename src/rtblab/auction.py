@@ -23,7 +23,6 @@ from .core import (
     PeriodFeedback,
     compute_metrics,
 )
-from .controller import normalized_feedback
 from .data import BidLog
 
 
@@ -118,16 +117,17 @@ def _kept_indices(n: int, p: float, seed: int) -> np.ndarray:
 
 
 class PeriodController(Protocol):
+    """``begin_period`` sees the cumulative counters before the period;
+    ``end_period`` sees them after it, plus the period's own counters."""
+
     def begin_period(self, feedback: PeriodFeedback) -> float: ...
-    def end_period(self, feedback: PeriodFeedback, elapsed_fraction: float = 1.0) -> None: ...
+    def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
+                   elapsed_fraction: float = 1.0) -> None: ...
 
 
 @dataclass(frozen=True)
 class PeriodTrace:
-    period: int
     u: float
-    errors: tuple[float, ...]     # target-normalized, one per constraint
-    j: float                      # quadratic period cost (unit control weight)
     feedback: PeriodFeedback      # cumulative through this period
 
 
@@ -159,33 +159,19 @@ def _period_bounds(log: BidLog, sim: SimConfig) -> Iterator[tuple[int, int]]:
 def run_campaign(log: BidLog, controller: PeriodController,
                  constraints: ConstraintSet, sim: SimConfig) -> CampaignResult:
     """Replay a full campaign: one controller decision per period, learning
-    after each period, stopping at stream end or budget termination.
-
-    Trace errors are always measured against the full targets so traces are
-    comparable across controllers and budget-error modes; the control term
-    of the traced cost uses unit weight.
-    """
+    after each period, stopping at stream end or budget termination."""
     log = apply_dropout(log, sim.dropout_p, sim.dropout_seed)
     n = len(log)
     cumulative = PeriodFeedback()
     trace: list[PeriodTrace] = []
-    u_prev: float | None = None
     terminated = False
-    for period, (lo, hi) in enumerate(_period_bounds(log, sim)):
+    for lo, hi in _period_bounds(log, sim):
         u = controller.begin_period(cumulative)
         delta = run_period(log.segment(lo, hi), u, constraints.ppc_expected,
                            cumulative.cost, sim.budget)
         cumulative = cumulative + delta
-        elapsed = hi / n
-        controller.end_period(cumulative, elapsed)
-        errors = tuple(x - 1.0 for x in normalized_feedback(constraints, cumulative))
-        j = 0.0
-        for c, e in zip(constraints.constraints, errors):
-            j += c.error_weight * e * e
-        du = u - u_prev if u_prev is not None else 0.0
-        j += du * du
-        trace.append(PeriodTrace(period=period, u=u, errors=errors, j=j, feedback=cumulative))
-        u_prev = u
+        controller.end_period(cumulative, delta, hi / n)
+        trace.append(PeriodTrace(u, cumulative))
         if cumulative.cost >= sim.budget:
             terminated = True
             break

@@ -20,12 +20,14 @@ class PidConfig:
     integral_clamp: float = 5.0
 
     def __post_init__(self) -> None:
-        if not (0 < self.u_min < self.u_max):
-            raise ConfigurationError("need 0 < u_min < u_max")
-        if min(self.kp, self.ki, self.kd) < 0:
-            raise ConfigurationError("gains must be nonnegative")
-        if self.integral_clamp <= 0:
-            raise ConfigurationError("integral_clamp must be positive")
+        if not (0 < self.u_min < self.u_max < math.inf):
+            raise ConfigurationError("need 0 < u_min < u_max < inf")
+        if not all(0 <= gain < math.inf for gain in (self.kp, self.ki, self.kd)):
+            raise ConfigurationError("gains must be nonnegative and finite")
+        if not math.isfinite(self.u_init):
+            raise ConfigurationError(f"u_init must be finite, got {self.u_init}")
+        if not 0 < self.integral_clamp < math.inf:
+            raise ConfigurationError("integral_clamp must be positive and finite")
 
 
 class PidController:
@@ -60,7 +62,8 @@ class PidController:
         error = feedback_value(self._ppc, feedback) / self._ppc.target - 1.0
         return self.step(error)
 
-    def end_period(self, feedback: PeriodFeedback, elapsed_fraction: float = 1.0) -> None:
+    def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
+                   elapsed_fraction: float = 1.0) -> None:
         pass
 
 
@@ -72,11 +75,12 @@ class FixedBidController:
     u_const: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.u_const <= 0:
-            raise ConfigurationError("u_const must be positive")
+        if not 0 < self.u_const < math.inf:
+            raise ConfigurationError(f"u_const must be positive and finite, got {self.u_const}")
 
     def begin_period(self, feedback: PeriodFeedback) -> float:
         return self.u_const
 
-    def end_period(self, feedback: PeriodFeedback, elapsed_fraction: float = 1.0) -> None:
+    def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
+                   elapsed_fraction: float = 1.0) -> None:
         pass

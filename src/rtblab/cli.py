@@ -26,6 +26,7 @@ from .harness import (
     CONTROLLER_KINDS,
     PRESETS,
     ExperimentSpec,
+    levels_from_dict,
     run_ablation,
     run_experiment,
     spec_from_dict,
@@ -33,10 +34,6 @@ from .harness import (
     synth_from_dict,
 )
 
-# The flags that describe a spec; --config describes it instead.
-_SPEC_FLAGS = ("--log", "--synthetic", "--synth-seed", "--controller", "--preset", "--budget",
-               "--ppc-target", "--ppc-expected", "--multi", "--period-bids", "--period-ms",
-               "--dropout", "--seed")
 # gen-synthetic's optional flags: (flag, SynthConfig field, help); each
 # default is the field's.
 _SYNTH_FLAGS = (("--ctr", "ctr_true", "true click rate"),
@@ -119,7 +116,11 @@ def _load_doc(args: argparse.Namespace, default_trials: int | None = None) -> di
     its spec flags describe."""
     if not args.config:
         return _flags_doc(args, default_trials)
-    given = [flag for flag in _SPEC_FLAGS if getattr(args, flag[2:].replace("-", "_")) is not None]
+    spec_flags = argparse.ArgumentParser(add_help=False)  # the flags --config describes instead
+    _add_spec_flags(spec_flags)
+    given = [action.option_strings[0] for action in spec_flags._actions
+             if action.option_strings[0] not in ("--config", "--out", "--trials")
+             and getattr(args, action.dest) is not None]
     if given:
         raise ConfigurationError(f"{', '.join(given)} cannot be given with --config; "
                                  f"only --out, --trials and --p-list can")
@@ -149,12 +150,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     doc = _load_doc(args, default_trials=100)
+    p_list = levels_from_dict(doc)
+    doc.pop("p_list", None)  # the sweep's own key, which spec_from_dict rejects
     if args.p_list is not None:
         p_list = [tok for tok in args.p_list.split(",") if tok]
-    else:
-        p_list = doc.get("p_list", [0.1 * k for k in range(1, 10)])
-        if not isinstance(p_list, list):
-            raise ConfigurationError(f"p_list must be a list, got {type(p_list).__name__}")
     paths = sweep_sparsity(_build_spec(args, doc), p_list)
     print("wrote " + " ".join(str(path) for path in paths.values()))
     return 0

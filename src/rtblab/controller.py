@@ -79,24 +79,22 @@ class MlpControllerConfig:
     def __post_init__(self) -> None:
         if self.hidden_dim < 1:
             raise ConfigurationError("hidden_dim must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigurationError("learning_rate must be positive and finite")
         if self.grad_window < 1:
             raise ConfigurationError("grad_window must be >= 1")
-        if self.control_weight <= 0:
-            raise ConfigurationError("control_weight must be positive")
-        if self.u_max <= 0:
-            raise ConfigurationError("u_max must be positive")
+        if not 0 < self.control_weight < math.inf:
+            raise ConfigurationError("control_weight must be positive and finite")
+        if not 0 < self.u_max < math.inf:
+            raise ConfigurationError("u_max must be positive and finite")
 
 
 @dataclass
 class ControllerState:
     """Mutable controller state owned by one campaign replay.
 
-    ``fb_prev``, ``xhat_prev`` and ``resp_prev`` are the feedback snapshots:
-    the cumulative counters after the previous period, the same over targets,
-    and that period's own normalized response (its feedback delta over
-    targets), which the slope estimate differences against.
+    ``resp_prev`` is the previous period's own counters over targets, which
+    the slope estimate differences against; None until a period has ended.
     """
 
     w_enc: np.ndarray                 # (hidden_dim, input_dim)
@@ -106,12 +104,9 @@ class ControllerState:
     h_curr: np.ndarray
     h_prev: np.ndarray
     x_curr: np.ndarray
-    fb_prev: Optional[PeriodFeedback]
     resp_prev: Optional[Sequence[float]]
     grad_log_enc: deque = field(default_factory=deque)
     grad_log_dec: deque = field(default_factory=deque)
-    period_index: int = 0
-    xhat_prev: Optional[Sequence[float]] = None
 
 
 @dataclass(frozen=True)
@@ -228,21 +223,21 @@ def approx_dhdwe(x: np.ndarray, h_curr: np.ndarray, h_prev: np.ndarray,
 
 
 def backward(state: ControllerState, constraints: ConstraintSet,
-             feedback: PeriodFeedback, config: MlpControllerConfig,
+             feedback: PeriodFeedback, period: PeriodFeedback, config: MlpControllerConfig,
              elapsed_fraction: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the approximated gradients for both layers and log them.
 
-    ``feedback`` is the cumulative feedback after the period just run.  The
-    KPI error slope uses the cumulative achieved values; the environment
-    slope sign correlates each period's own response (the feedback delta
-    that period produced) with the adjustment delta, since it is the
+    ``feedback`` is the cumulative feedback after the period just run and
+    ``period`` that period's own counters.  The KPI error slope uses the
+    cumulative achieved values; the environment slope sign correlates each
+    period's own response with the adjustment delta, since it is the
     per-period response that actually reacts to the current adjustment.
-    Rolls the feedback snapshots forward to ``feedback``.
+    Stores this period's response as ``resp_prev``.
     """
-    if state.period_index < 1 or state.fb_prev is None or state.resp_prev is None:
+    if state.resp_prev is None:
         raise InsufficientHistory("no previous period to difference against")
     xhat = normalized_feedback(constraints, feedback)
-    resp = normalized_feedback(constraints, feedback - state.fb_prev)
+    resp = normalized_feedback(constraints, period)
     zhat = reference_vector(constraints, elapsed_fraction, config.budget_error_mode)
     chain = partial_j2(config.control_weight, state.u_curr, state.u_prev)
     for c, x, z, r, r_prev in zip(constraints.constraints, xhat, zhat, resp, state.resp_prev):
@@ -254,7 +249,7 @@ def backward(state: ControllerState, constraints: ConstraintSet,
     g_enc = chain * np.multiply.outer(du_dh, dh_dwe)
     state.grad_log_enc.append(g_enc)
     state.grad_log_dec.append(g_dec)
-    state.fb_prev, state.xhat_prev, state.resp_prev = feedback, xhat, resp
+    state.resp_prev = resp
     return g_enc, g_dec
 
 
@@ -296,7 +291,6 @@ def init_state(config: MlpControllerConfig, dim: int) -> ControllerState:
         h_curr=zeros_h,
         h_prev=zeros_h.copy(),
         x_curr=np.zeros(dim),
-        fb_prev=None,
         resp_prev=None,
         grad_log_enc=deque(maxlen=config.grad_window),
         grad_log_dec=deque(maxlen=config.grad_window),
@@ -315,21 +309,17 @@ class MlpBidController:
 
     def begin_period(self, feedback: PeriodFeedback) -> float:
         """Produce this period's adjustment from cumulative feedback so far."""
-        state = self.state
-        xhat = (state.xhat_prev if feedback is state.fb_prev
-                else normalized_feedback(self.constraints, feedback))
-        _, u = forward(state, build_input(xhat, feedback, self.config.feature_set),
+        xhat = normalized_feedback(self.constraints, feedback)
+        _, u = forward(self.state, build_input(xhat, feedback, self.config.feature_set),
                        self.config.u_max)
         return u
 
-    def end_period(self, feedback: PeriodFeedback, elapsed_fraction: float = 1.0) -> None:
-        """Learn from the period just run; the very first period only seeds
-        the feedback snapshots."""
-        state = self.state
-        if state.fb_prev is None:
-            state.fb_prev = feedback
-            state.xhat_prev = state.resp_prev = normalized_feedback(self.constraints, feedback)
+    def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
+                   elapsed_fraction: float = 1.0) -> None:
+        """Learn from the period just run; the very first period only stores
+        its response."""
+        if self.state.resp_prev is None:
+            self.state.resp_prev = normalized_feedback(self.constraints, period)
         else:
-            backward(state, self.constraints, feedback, self.config, elapsed_fraction)
-            apply_update(state, self.config)
-        state.period_index += 1
+            backward(self.state, self.constraints, feedback, period, self.config, elapsed_fraction)
+            apply_update(self.state, self.config)

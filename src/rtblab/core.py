@@ -7,6 +7,7 @@ from those counters.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -34,8 +35,9 @@ class KpiConstraint:
     def __post_init__(self) -> None:
         if self.target <= 0:
             raise ConfigurationError(f"constraint target must be positive, got {self.target}")
-        if self.error_weight <= 0:
-            raise ConfigurationError(f"error weight must be positive, got {self.error_weight}")
+        if not 0 < self.error_weight < math.inf:
+            raise ConfigurationError(f"error weight must be positive and finite, "
+                                     f"got {self.error_weight}")
 
 
 @dataclass(frozen=True)
@@ -112,18 +114,6 @@ class PeriodFeedback:
             cost=self.cost + other.cost,
             sum_pctr=self.sum_pctr + other.sum_pctr,
             sum_pcvr=self.sum_pcvr + other.sum_pcvr,
-        )
-
-    def __sub__(self, other: "PeriodFeedback") -> "PeriodFeedback":
-        """Delta between two cumulative snapshots (self taken after other)."""
-        return PeriodFeedback(
-            bids_participated=self.bids_participated - other.bids_participated,
-            impressions=self.impressions - other.impressions,
-            clicks=self.clicks - other.clicks,
-            conversions=self.conversions - other.conversions,
-            cost=self.cost - other.cost,
-            sum_pctr=self.sum_pctr - other.sum_pctr,
-            sum_pcvr=self.sum_pcvr - other.sum_pcvr,
         )
 
     @property

@@ -14,6 +14,7 @@ column-oriented view built once per run.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -188,8 +189,12 @@ class SynthConfig:
             p = getattr(self, name)
             if not (0.0 < p < 1.0):
                 raise ConfigurationError(f"{name} must lie in (0, 1), got {p}")
-        if self.price_log_sigma < 0:
-            raise ConfigurationError("price_log_sigma must be >= 0")
+        if not 0 <= self.price_log_sigma < math.inf:
+            raise ConfigurationError(f"price_log_sigma must be >= 0 and finite, "
+                                     f"got {self.price_log_sigma}")
+        for name in ("price_log_mean", "pctr_noise", "pcvr_noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 class BidLog:

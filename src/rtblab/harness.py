@@ -19,7 +19,7 @@ import numpy as np
 from .auction import CampaignResult, SimConfig, run_campaign
 from .baselines import FixedBidController, PidConfig, PidController
 from .controller import FeatureSet, MlpBidController, MlpControllerConfig
-from .core import ConfigurationError, ConstraintSet, KpiConstraint, KpiKind
+from .core import ConfigurationError, ConstraintSet, KpiConstraint, KpiKind, feedback_value
 from .data import BidLog, SynthConfig, generate_synthetic
 
 # Each controller kind and the config dataclass its ``params`` are read into.
@@ -185,14 +185,24 @@ def _emit(spec: ExperimentSpec, command: str, manifest_name: str,
 
 def _trace_rows(name: str, trial: int, result: CampaignResult,
                 constraints: ConstraintSet) -> list[list]:
+    """One ``trace.csv`` row per period.  The KPI errors are measured against
+    the full targets so traces are comparable across controllers and
+    budget-error modes; the control term of the period cost ``j`` uses unit
+    weight, and is 0 in the first period."""
     rows = []
-    kinds = [c.kind for c in constraints.constraints]
-    for t in result.trace:
-        by_kind = dict(zip(kinds, t.errors))
+    trace = result.trace
+    for period, (t, prev) in enumerate(zip(trace, trace[:1] + trace)):
+        errors = {}
+        j = 0.0
+        for c in constraints.constraints:
+            errors[c.kind] = e = feedback_value(c, t.feedback) / c.target - 1.0
+            j += c.error_weight * e * e
+        du = t.u - prev.u
+        j += du * du
         rows.append([
-            name, trial, t.period, t.u,
-            by_kind.get(KpiKind.PPC_TARGET), by_kind.get(KpiKind.BUDGET),
-            t.j, t.feedback.conversions, t.feedback.cost,
+            name, trial, period, t.u,
+            errors.get(KpiKind.PPC_TARGET), errors.get(KpiKind.BUDGET),
+            j, t.feedback.conversions, t.feedback.cost,
         ])
     return rows
 
@@ -285,11 +295,10 @@ def spec_from_dict(d: Mapping) -> ExperimentSpec:
     out takes the default of the dataclass that holds it."""
     if "spec" in d:  # accept a manifest as a config
         with _fields_of("manifest"):
-            _known(d, ("command", "spec", "p_list"))
+            _known(d, ("command", "spec"))
         d = _section(d, "spec")
     with _fields_of("config"):
-        _known(d, ("log", "sim", "controllers", "constraints", "trials", "base_seed", "out_dir",
-                   "p_list"))
+        _known(d, ("log", "sim", "controllers", "constraints", "trials", "base_seed", "out_dir"))
     log = _section(d, "log")
     with _fields_of("config section 'log'"):
         _known(log, ("path", "synthetic"))
@@ -313,6 +322,16 @@ def spec_from_dict(d: Mapping) -> ExperimentSpec:
     if "out_dir" in d:
         given["out_dir"] = d["out_dir"]
     return ExperimentSpec(tuple(controllers), constraints, sim, log.get("path"), synth, **given)
+
+
+def levels_from_dict(d: Mapping) -> list[float]:
+    """The dropout levels of a sweep config or manifest: its ``p_list``, each
+    level read as a number, or 0.1, ..., 0.9 if it has none."""
+    levels = d.get("p_list", [0.1 * k for k in range(1, 10)])
+    if not isinstance(levels, list):
+        raise ConfigurationError(f"p_list must be a list, got {type(levels).__name__}")
+    with _fields_of("config"):
+        return [_as(float, "p_list", p) for p in levels]
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +359,8 @@ def sweep_sparsity(spec: ExperimentSpec, p_list: Sequence[float]) -> dict[str, P
     summarize conversions per (level, controller) with a 95% interval."""
     with _fields_of("dropout levels"):
         p_list = [float(p) for p in p_list]
+    if not p_list:
+        raise ConfigurationError("a sweep needs at least one dropout level")
     for p in p_list:
         if not (0.0 <= p <= 1.0):
             raise ConfigurationError(f"dropout level {p} outside [0, 1]")

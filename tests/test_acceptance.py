@@ -112,11 +112,11 @@ def test_02_one_dimensional_chain_oracle():
         state = ControllerState(
             w_enc=np.array([[0.1, 0.1]]), w_dec=np.array([wd]), u_curr=u, u_prev=up,
             h_curr=np.array([h]), h_prev=np.array([hp]), x_curr=x.copy(),
-            fb_prev=PeriodFeedback(conversions=conv_prev, cost=cost_prev),
             resp_prev=np.array([resp_prev]),
-            grad_log_enc=deque(maxlen=4), grad_log_dec=deque(maxlen=4), period_index=1)
+            grad_log_enc=deque(maxlen=4), grad_log_dec=deque(maxlen=4))
         fb = PeriodFeedback(conversions=conv, cost=cost)
-        g_enc, g_dec = backward(state, constraints, fb, config)
+        period = PeriodFeedback(conversions=conv - conv_prev, cost=cost - cost_prev)
+        g_enc, g_dec = backward(state, constraints, fb, period, config)
 
         # independent fully written-out scalar chain
         def sgn(v):
@@ -153,10 +153,10 @@ def test_03_normalized_step_over_500_periods():
         def begin_period(self, fb):
             return controller.begin_period(fb)
 
-        def end_period(self, fb, elapsed_fraction=1.0):
+        def end_period(self, fb, period, elapsed_fraction=1.0):
             nonlocal applied, violations
             w_enc, w_dec = controller.state.w_enc.copy(), controller.state.w_dec.copy()
-            controller.end_period(fb, elapsed_fraction)
+            controller.end_period(fb, period, elapsed_fraction)
             for before, after in ((w_enc, controller.state.w_enc),
                                   (w_dec, controller.state.w_dec)):
                 step = float(np.linalg.norm(after - before))

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from rtblab import (
     run_period,
 )
 from rtblab.auction import _kept_indices
+from rtblab.harness import _trace_rows
 from support import (
     AuctionOutcome,
     BidRecord,
@@ -210,22 +214,26 @@ class TestRunCampaign:
 @given(seed=st.integers(0, 2**16), budget=st.integers(0, 60_000),
        weights=st.tuples(st.floats(0.01, 10), st.floats(0.01, 10)))
 def test_trace_errors_and_cost_equal_array_oracles(seed, budget, weights):
-    # the trace's floats are written to trace.csv by repr, so they must be
-    # the same bits the array forms gave
+    # the trace rows' floats are written to trace.csv by repr, so they must
+    # be the same bits the array forms gave
     rng = np.random.default_rng(seed)
     constraints = ConstraintSet.ppc_and_budget(1800, max(budget, 1), ppc_weight=weights[0],
                                                budget_weight=weights[1])
     controller = MlpBidController(constraints, MlpControllerConfig(rng_seed=seed))
     result = run_campaign(random_log(rng, 300), controller, constraints,
                           SimConfig(budget=budget, period_bids=int(rng.integers(1, 40))))
+    rows = _trace_rows("mlp", 0, result, constraints)
+    assert len(rows) == len(result.trace)
     u_prev = None
-    for t in result.trace:
+    for period, (t, row) in enumerate(zip(result.trace, rows)):
+        _, _, row_period, u, e_ppc, e_budget, row_j, conv, cost = row
+        assert (row_period, u, conv, cost) == (period, t.u, t.feedback.conversions, t.feedback.cost)
         errors = kpi_error(constraints, t.feedback)
         du = np.array([t.u - u_prev]) if u_prev is not None else np.zeros(1)
         j = cost_value(errors, np.array(weights), du, np.ones(1))
-        assert all(type(e) is float for e in t.errors) and type(t.j) is float
-        assert [e.hex() for e in t.errors] == [float(e).hex() for e in errors]
-        assert t.j.hex() == j.hex()
+        assert all(type(e) is float for e in (e_ppc, e_budget)) and type(row_j) is float
+        assert [e_ppc.hex(), e_budget.hex()] == [float(e).hex() for e in errors]
+        assert row_j.hex() == j.hex()
         u_prev = t.u
 
 
@@ -339,7 +347,7 @@ class TestControllerWiring:
             def begin_period(self, feedback):
                 return 0.5
 
-            def end_period(self, feedback, elapsed_fraction=1.0):
+            def end_period(self, feedback, period, elapsed_fraction=1.0):
                 seen.append(elapsed_fraction)
 
         log = random_log(np.random.default_rng(53), 1000)
@@ -347,6 +355,44 @@ class TestControllerWiring:
         assert seen == sorted(seen)
         assert seen[-1] == 1.0
         assert len(seen) == 10
+
+    def test_end_period_gets_each_period_own_counters(self):
+        seen = []
+
+        class Recorder:
+            def begin_period(self, feedback):
+                return (0.5, 0.9, 0.2)[len(seen) % 3]
+
+            def end_period(self, feedback, period, elapsed_fraction=1.0):
+                seen.append((feedback, period))
+
+        log = random_log(np.random.default_rng(61), 2000)
+        result = run_campaign(log, Recorder(), CONSTRAINTS,
+                              SimConfig(budget=30_000, period_bids=50))
+        assert result.terminated and len(seen) == len(result.trace) > 3
+        assert [cumulative for cumulative, _ in seen] == [t.feedback for t in result.trace]
+        counters = ("bids_participated", "impressions", "clicks", "conversions", "cost")
+        assert seen[0][1] == seen[0][0]
+        for (before, _), (after, period) in zip(seen, seen[1:]):
+            for name in counters:
+                assert getattr(period, name) == getattr(after, name) - getattr(before, name)
+        for name in counters:
+            assert sum(getattr(period, name) for _, period in seen) == \
+                getattr(result.trace[-1].feedback, name)
+
+    def test_replay_imports_nothing_from_the_controller(self):
+        import rtblab.auction
+
+        imported = []  # every dotted name an import statement may bind, relative ones resolved
+        for node in ast.walk(ast.parse(Path(rtblab.auction.__file__).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(["rtblab"] * (node.level > 0) + [node.module] * bool(node.module))
+                imported += [base] + [f"{base}.{alias.name}" for alias in node.names]
+        assert {"rtblab.core", "rtblab.data"} <= set(imported)
+        assert not [m for m in imported
+                    if m == "rtblab.controller" or m.startswith("rtblab.controller.")]
 
     def test_paced_controller_runs_closed_loop(self):
         from rtblab import BudgetErrorMode, ConstraintSet, MlpBidController, MlpControllerConfig

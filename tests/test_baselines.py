@@ -97,7 +97,7 @@ class TestFixed:
         c = FixedBidController(0.5)
         for _ in range(5):
             assert c.begin_period(feedback()) == 0.5
-            c.end_period(feedback(), 0.5)
+            c.end_period(feedback(), feedback(), 0.5)
 
     def test_default_is_original_price_replay(self):
         assert FixedBidController().begin_period(feedback()) == 1.0

@@ -48,8 +48,7 @@ MULTI = ConstraintSet.ppc_and_budget(1800, 100_000)
 
 
 def make_state(w_enc, w_dec, u_curr=0.5, u_prev=0.5, h_curr=None, h_prev=None,
-               x_curr=None, fb_prev=None, resp_prev=None,
-               period_index=0, window=4):
+               x_curr=None, resp_prev=None, window=4):
     w_enc = np.asarray(w_enc, dtype=float)
     w_dec = np.asarray(w_dec, dtype=float)
     hidden, dim = w_enc.shape
@@ -60,10 +59,8 @@ def make_state(w_enc, w_dec, u_curr=0.5, u_prev=0.5, h_curr=None, h_prev=None,
         h_curr=np.asarray(h_curr, float) if h_curr is not None else zeros_h,
         h_prev=np.asarray(h_prev, float) if h_prev is not None else zeros_h.copy(),
         x_curr=np.asarray(x_curr, float) if x_curr is not None else zeros_x,
-        fb_prev=fb_prev,
         resp_prev=np.asarray(resp_prev, float) if resp_prev is not None else None,
         grad_log_enc=deque(maxlen=window), grad_log_dec=deque(maxlen=window),
-        period_index=period_index,
     )
 
 
@@ -349,16 +346,16 @@ class TestBackward:
         config = MlpControllerConfig(hidden_dim=1, feature_set=FeatureSet.NONE)
         state = init_state(config, 2)
         with pytest.raises(InsufficientHistory):
-            backward(state, SINGLE, feedback(conv=1, cost=1800), config)
+            backward(state, SINGLE, feedback(conv=1, cost=1800), feedback(conv=1, cost=1800),
+                     config)
 
     def test_stationary_point_gives_zero_gradients(self):
         config = MlpControllerConfig(hidden_dim=1, feature_set=FeatureSet.NONE)
         fb = feedback(conv=10, cost=18_000)  # achieved PPC exactly on target
         state = make_state([[0.1, 0.2]], [0.3], u_curr=0.5, u_prev=0.5,
                            h_curr=[1.0], h_prev=[0.5], x_curr=[1.0, 1.0],
-                           fb_prev=feedback(conv=4, cost=7200), resp_prev=[1.0],
-                           period_index=1)
-        g_enc, g_dec = backward(state, SINGLE, fb, config)
+                           resp_prev=[1.0])
+        g_enc, g_dec = backward(state, SINGLE, fb, feedback(conv=6, cost=10_800), config)
         assert np.all(g_enc == 0.0) and np.all(g_dec == 0.0)
 
     def test_matches_hand_expansion_1d(self):
@@ -381,9 +378,9 @@ class TestBackward:
             x = rng.normal(size=2)
             state = make_state([[0.1, 0.1]], [wd], u_curr=u, u_prev=up,
                                h_curr=[h], h_prev=[hp], x_curr=x,
-                               fb_prev=feedback(conv=conv_prev, cost=cost_prev),
-                               resp_prev=[resp_prev], period_index=1)
-            g_enc, g_dec = backward(state, constraints, feedback(conv=conv, cost=cost), config)
+                               resp_prev=[resp_prev])
+            g_enc, g_dec = backward(state, constraints, feedback(conv=conv, cost=cost),
+                                    feedback(conv=conv - conv_prev, cost=cost - cost_prev), config)
             ref_enc, ref_dec = hand_expanded_1d(q, r, 1800, cost, conv, cost_prev, conv_prev,
                                                 resp_prev, u, up, wd, h, hp, x, u_max)
             assert np.allclose(g_enc, ref_enc, rtol=1e-12, atol=1e-12)
@@ -396,8 +393,9 @@ class TestBackward:
                                      control_weight=2.0)
         state = make_state([[0.1, 0.1]], [0.4], u_curr=0.7, u_prev=0.5,
                            h_curr=[1.2], h_prev=[0.8], x_curr=[1.0, 0.5],
-                           fb_prev=feedback(), resp_prev=[0.2], period_index=1)
-        g_enc, g_dec = backward(state, constraints, feedback(conv=1, cost=9000), config)
+                           resp_prev=[0.2])
+        g_enc, g_dec = backward(state, constraints, feedback(conv=1, cost=9000),
+                                feedback(conv=1, cost=9000), config)
         chain = partial_j2(2.0, 0.7, 0.5)
         du_dh, du_dwd = sigmoid_layer_grads(np.array([0.4]), np.array([1.2]), 1.0)
         hebb = approx_dhdwe(np.array([1.0, 0.5]), np.array([1.2]), np.array([0.8]), 0.7, 0.5)
@@ -408,9 +406,10 @@ class TestBackward:
         config = MlpControllerConfig(hidden_dim=1, feature_set=FeatureSet.NONE, grad_window=2)
         state = make_state([[0.1, 0.1]], [0.4], u_curr=0.7, u_prev=0.5,
                            h_curr=[1.2], h_prev=[0.8], x_curr=[1.0, 0.5],
-                           fb_prev=feedback(), resp_prev=[0.2], period_index=1, window=2)
+                           resp_prev=[0.2], window=2)
         for _ in range(3):
-            backward(state, SINGLE, feedback(conv=1, cost=9000), config)
+            backward(state, SINGLE, feedback(conv=1, cost=9000), feedback(conv=1, cost=9000),
+                     config)
         assert len(state.grad_log_enc) == 2  # ring buffer caps at the window
         assert len(state.grad_log_dec) == 2
 
@@ -481,9 +480,9 @@ class TestInit:
 
 
 def _drive(controller, fb_sequence):
-    for fb_before, fb_after, elapsed in fb_sequence:
+    for fb_before, fb_after, fb_period, elapsed in fb_sequence:
         controller.begin_period(fb_before)
-        controller.end_period(fb_after, elapsed)
+        controller.end_period(fb_after, fb_period, elapsed)
 
 
 def _synthetic_feedback_walk(seed, periods=50):
@@ -492,12 +491,13 @@ def _synthetic_feedback_walk(seed, periods=50):
     total = feedback()
     for k in range(periods):
         before = total
-        total = total + feedback(bids=100, imp=int(rng.integers(0, 60)),
-                                 clk=int(rng.integers(0, 20)), conv=int(rng.integers(0, 5)),
-                                 cost=int(rng.integers(0, 40_000)),
-                                 sum_pctr=float(rng.uniform(0, 10)),
-                                 sum_pcvr=float(rng.uniform(0, 30)))
-        seq.append((before, total, (k + 1) / periods))
+        period = feedback(bids=100, imp=int(rng.integers(0, 60)),
+                          clk=int(rng.integers(0, 20)), conv=int(rng.integers(0, 5)),
+                          cost=int(rng.integers(0, 40_000)),
+                          sum_pctr=float(rng.uniform(0, 10)),
+                          sum_pcvr=float(rng.uniform(0, 30)))
+        total = total + period
+        seq.append((before, total, period, (k + 1) / periods))
     return seq
 
 
@@ -519,18 +519,19 @@ class TestControllerLoop:
         for k in range(200):
             before = total
             # extreme spend with no conversions drives inputs far from 1
-            total = total + feedback(bids=1000, imp=900, clk=0, conv=0,
-                                     cost=5_000_000, sum_pctr=100.0, sum_pcvr=300.0)
+            period = feedback(bids=1000, imp=900, clk=0, conv=0,
+                              cost=5_000_000, sum_pctr=100.0, sum_pcvr=300.0)
+            total = total + period
             us.append(c.begin_period(before))
-            c.end_period(total, (k + 1) / 200)
+            c.end_period(total, period, (k + 1) / 200)
         assert all(0.0 < u < 0.8 for u in us)
 
     def test_every_applied_update_has_fixed_norm(self):
         c = MlpBidController(MULTI, MlpControllerConfig(rng_seed=4))
-        for fb_before, fb_after, elapsed in _synthetic_feedback_walk(5, periods=80):
+        for fb_before, fb_after, fb_period, elapsed in _synthetic_feedback_walk(5, periods=80):
             w_enc, w_dec = c.state.w_enc.copy(), c.state.w_dec.copy()
             c.begin_period(fb_before)
-            c.end_period(fb_after, elapsed)
+            c.end_period(fb_after, fb_period, elapsed)
             for before, after in ((w_enc, c.state.w_enc), (w_dec, c.state.w_dec)):
                 step = np.linalg.norm(after - before)
                 assert step == pytest.approx(0.0, abs=1e-12) or \
@@ -540,9 +541,10 @@ class TestControllerLoop:
         c = MlpBidController(SINGLE, MlpControllerConfig(rng_seed=6))
         w_enc = c.state.w_enc.copy()
         c.begin_period(feedback())
-        c.end_period(feedback(imp=10, clk=2, conv=1, cost=900, bids=100), 0.1)
+        fb = feedback(imp=10, clk=2, conv=1, cost=900, bids=100)
+        c.end_period(fb, fb, 0.1)
         assert np.array_equal(c.state.w_enc, w_enc)
-        assert c.state.fb_prev is not None and c.state.resp_prev is not None
+        assert c.state.resp_prev is not None
 
 
 def test_directional_sanity_under_budget_pressure():

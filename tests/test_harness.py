@@ -6,18 +6,24 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from rtblab import (
     BidLog,
+    ConfigurationError,
     ConstraintSet,
     ControllerSpec,
     ExperimentSpec,
     FeatureSet,
+    FixedBidController,
+    KpiConstraint,
+    KpiKind,
     MlpBidController,
     MlpControllerConfig,
+    PidConfig,
     SimConfig,
     SynthConfig,
     generate_synthetic,
@@ -528,6 +534,15 @@ class TestCli:
         ("run", {**VALID_CONFIG, "sim": {"budget": 50_000, "dropout_seed": 12345}},
          "sim.dropout_seed must be 0: the dropout mask of each trial is seeded by "
          "(base_seed, trial)"),
+        ("sweep-sparsity", {**VALID_CONFIG, "p_list": [True, "0.5"]},
+         "config: 'p_list' must be a number, got True"),
+        ("sweep-sparsity", {**VALID_CONFIG, "p_list": []},
+         "a sweep needs at least one dropout level"),
+        ("run", {**VALID_CONFIG, "p_list": [0.5]}, "config: unknown key 'p_list'"),
+        ("run", {"command": "run", "spec": VALID_CONFIG, "p_list": [0.5]},
+         "manifest: unknown key 'p_list'"),
+        ("sweep-sparsity", {"command": "sweep-sparsity", "spec": {**VALID_CONFIG, "p_list": [0.5]}},
+         "config: unknown key 'p_list'"),
     ], ids=["p_list-not-list", "top-level-not-object", "log-not-object", "sim-not-object",
             "log-missing", "budget-not-int", "controllers-not-list", "trials-not-int",
             "unknown-synthetic-key", "unknown-controller-param", "unknown-kpi-kind",
@@ -536,7 +551,9 @@ class TestCli:
             "kp-infinity", "pid-rng-seed", "unknown-feature-set", "unknown-sim-key",
             "unknown-top-level-key", "unknown-top-level-keys", "unknown-controller-key",
             "unknown-kpi-key", "unknown-constraints-key", "unknown-log-key",
-            "unknown-manifest-key", "nonzero-dropout-seed"])
+            "unknown-manifest-key", "nonzero-dropout-seed", "p_list-bool-and-string",
+            "p_list-empty", "p_list-given-to-run", "p_list-in-run-manifest",
+            "p_list-inside-manifest-spec"])
     def test_config_of_wrong_shape_is_one_line_error(self, tmp_path, monkeypatch, capsys,
                                                      command, doc, message):
         monkeypatch.chdir(tmp_path)
@@ -691,6 +708,16 @@ class TestCli:
         assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
         assert "'x'" in err
 
+    def test_empty_p_list_flag_is_one_line_error(self, tmp_path, capsys):
+        # "," used to run zero levels and write a header-only sweep.csv
+        rc = main(["sweep-sparsity", "--synthetic", "400", "--budget", "50000",
+                   "--ppc-target", "1800", "--trials", "1", "--p-list", ",",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: ConfigurationError: a sweep needs at least one dropout level\n"
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_runs(self, tmp_path):
         spec = small_spec(tmp_path / "out", (ControllerSpec(kind="fixed"),))
         config = tmp_path / "config.json"
@@ -738,6 +765,33 @@ class TestCli:
                    "--out", str(tmp_path / "out")])
         assert rc == 0
         assert len(read(tmp_path / "out" / "ablation.csv").splitlines()) == 5
+
+
+FLOAT_FIELDS = [(cls, name) for cls in (KpiConstraint, SimConfig, SynthConfig, PidConfig,
+                                         MlpControllerConfig, FixedBidController)
+                for name, kind in get_type_hints(cls).items() if kind is float]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=lambda v: getattr(v, "__name__", v))
+def test_config_float_field_must_be_finite(cls, name, value):
+    # a Python caller bypasses the reader's finiteness check; NaN used to
+    # pass every comparison in __post_init__
+    required = {KpiConstraint: {"kind": KpiKind.PPC_TARGET, "target": 1800},
+                SimConfig: {"budget": 1000}}.get(cls, {})
+    with pytest.raises(ConfigurationError):
+        cls(**required, **{name: value})
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("CampaignMetrics(")
 
 
 def readme_cli_commands() -> list[list[str]]:
