@@ -18,7 +18,6 @@ from .auction import (
 from .baselines import FixedBidController, PidConfig, PidController
 from .controller import (
     BudgetErrorMode,
-    ControllerState,
     FeatureSet,
     InsufficientHistory,
     MlpBidController,
@@ -60,7 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BidLog", "BudgetErrorMode", "CampaignMetrics", "CampaignResult",
     "ColumnMap", "ConfigurationError", "ConstraintSet", "ControllerSpec",
-    "ControllerState", "ExperimentSpec", "FeatureSet", "FixedBidController",
+    "ExperimentSpec", "FeatureSet", "FixedBidController",
     "InsufficientHistory", "KpiConstraint", "KpiKind", "LabelViolation",
     "LogFormatError", "MalformedRow", "MlpBidController", "MlpControllerConfig",
     "NonMonotonicTimestamp", "PeriodFeedback", "PeriodMode", "PeriodTrace", "PidConfig",

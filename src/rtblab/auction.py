@@ -50,6 +50,8 @@ class SimConfig:
             raise ConfigurationError("period_bids must be >= 1")
         if self.period_mode is PeriodMode.WALL_CLOCK and self.period_ms < 1:
             raise ConfigurationError("period_ms must be >= 1")
+        if self.dropout_seed < 0:
+            raise ConfigurationError(f"dropout_seed must be >= 0, got {self.dropout_seed}")
 
 
 def run_period(batch: BidLog, u: float, ppc_expected: float,

@@ -24,8 +24,8 @@ class PidConfig:
             raise ConfigurationError("need 0 < u_min < u_max < inf")
         if not all(0 <= gain < math.inf for gain in (self.kp, self.ki, self.kd)):
             raise ConfigurationError("gains must be nonnegative and finite")
-        if not math.isfinite(self.u_init):
-            raise ConfigurationError(f"u_init must be finite, got {self.u_init}")
+        if not 0 < self.u_init < math.inf:
+            raise ConfigurationError(f"u_init must be positive and finite, got {self.u_init}")
         if not 0 < self.integral_clamp < math.inf:
             raise ConfigurationError("integral_clamp must be positive and finite")
 
@@ -35,8 +35,10 @@ class PidController:
 
     u = clamp(u_init * exp(-phi)): negative error (achieved PPC under
     target) raises the multiplier, positive error lowers it, and u stays
-    positive without asymmetric clipping.  Under multi-constraint runs the
-    budget acts only through the replay's hard termination.
+    positive without asymmetric clipping.  An ``exp(-phi)`` beyond the float
+    range saturates at u_max, the bound the clamp applies.  Under
+    multi-constraint runs the budget acts only through the replay's hard
+    termination.
     """
 
     def __init__(self, constraints: ConstraintSet, config: PidConfig | None = None):
@@ -47,7 +49,6 @@ class PidController:
         self._ppc = ppc
         self.integral = 0.0
         self.prev_error = 0.0
-        self.u = self.config.u_init
 
     def step(self, error: float) -> float:
         """One PID update on a normalized error value."""
@@ -55,8 +56,11 @@ class PidController:
         self.integral = min(max(self.integral + error, -cfg.integral_clamp), cfg.integral_clamp)
         phi = cfg.kp * error + cfg.ki * self.integral + cfg.kd * (error - self.prev_error)
         self.prev_error = error
-        self.u = min(max(cfg.u_init * math.exp(-phi), cfg.u_min), cfg.u_max)
-        return self.u
+        try:
+            u = cfg.u_init * math.exp(-phi)
+        except OverflowError:
+            return cfg.u_max
+        return min(max(u, cfg.u_min), cfg.u_max)
 
     def begin_period(self, feedback: PeriodFeedback) -> float:
         error = feedback_value(self._ppc, feedback) / self._ppc.target - 1.0

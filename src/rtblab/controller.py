@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -46,11 +46,6 @@ class FeatureSet(Enum):
     POSTERIOR = "posterior"  # realized CTR, CVR
     PRIOR = "prior"          # mean predicted CTR, CVR over participated bids
     FULL = "full"            # posterior then prior
-
-    @property
-    def width(self) -> int:
-        return {FeatureSet.NONE: 0, FeatureSet.POSTERIOR: 2,
-                FeatureSet.PRIOR: 2, FeatureSet.FULL: 4}[self]
 
 
 class BudgetErrorMode(Enum):
@@ -87,26 +82,8 @@ class MlpControllerConfig:
             raise ConfigurationError("control_weight must be positive and finite")
         if not 0 < self.u_max < math.inf:
             raise ConfigurationError("u_max must be positive and finite")
-
-
-@dataclass
-class ControllerState:
-    """Mutable controller state owned by one campaign replay.
-
-    ``resp_prev`` is the previous period's own counters over targets, which
-    the slope estimate differences against; None until a period has ended.
-    """
-
-    w_enc: np.ndarray                 # (hidden_dim, input_dim)
-    w_dec: np.ndarray                 # (hidden_dim,)
-    u_curr: float
-    u_prev: float
-    h_curr: np.ndarray
-    h_prev: np.ndarray
-    x_curr: np.ndarray
-    resp_prev: Optional[Sequence[float]]
-    grad_log_enc: deque = field(default_factory=deque)
-    grad_log_dec: deque = field(default_factory=deque)
+        if self.rng_seed < 0:
+            raise ConfigurationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +100,7 @@ _U_MARGIN = 1e-12
 
 
 def input_dim(n_constraints: int, feature_set: FeatureSet) -> int:
-    return 2 * n_constraints + feature_set.width
+    return 2 * n_constraints + len(extra_features(PeriodFeedback(), feature_set))
 
 
 def extra_features(feedback: PeriodFeedback, feature_set: FeatureSet) -> list[float]:
@@ -161,20 +138,6 @@ def _sigmoid_slope(a: float) -> float:
     # equals exp(-a) / (1 + exp(-a))^2, computed without overflow
     s = _sigmoid(a)
     return s * (1.0 - s)
-
-
-def forward(state: ControllerState, x: np.ndarray, u_max: float) -> tuple[np.ndarray, float]:
-    """One forward pass; rolls current/previous snapshots in state."""
-    if x.shape[0] != state.w_enc.shape[1]:
-        raise ConfigurationError(
-            f"input has {x.shape[0]} entries, encoding layer expects {state.w_enc.shape[1]}")
-    h = state.w_enc @ x
-    u = u_max * _sigmoid(float(state.w_dec @ h))
-    u = min(max(u, u_max * _U_MARGIN), u_max * (1.0 - _U_MARGIN))
-    state.x_curr = x
-    state.h_prev, state.h_curr = state.h_curr, h
-    state.u_prev, state.u_curr = state.u_curr, u
-    return h, u
 
 
 def reference_vector(constraints: ConstraintSet, elapsed_fraction: float,
@@ -222,37 +185,6 @@ def approx_dhdwe(x: np.ndarray, h_curr: np.ndarray, h_prev: np.ndarray,
     return x * np.sign((h_curr - h_prev) * (u_curr - u_prev)).sum()
 
 
-def backward(state: ControllerState, constraints: ConstraintSet,
-             feedback: PeriodFeedback, period: PeriodFeedback, config: MlpControllerConfig,
-             elapsed_fraction: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the approximated gradients for both layers and log them.
-
-    ``feedback`` is the cumulative feedback after the period just run and
-    ``period`` that period's own counters.  The KPI error slope uses the
-    cumulative achieved values; the environment slope sign correlates each
-    period's own response with the adjustment delta, since it is the
-    per-period response that actually reacts to the current adjustment.
-    Stores this period's response as ``resp_prev``.
-    """
-    if state.resp_prev is None:
-        raise InsufficientHistory("no previous period to difference against")
-    xhat = normalized_feedback(constraints, feedback)
-    resp = normalized_feedback(constraints, period)
-    zhat = reference_vector(constraints, elapsed_fraction, config.budget_error_mode)
-    chain = partial_j2(config.control_weight, state.u_curr, state.u_prev)
-    for c, x, z, r, r_prev in zip(constraints.constraints, xhat, zhat, resp, state.resp_prev):
-        slope = approx_dxdu(r, r_prev, state.u_curr, state.u_prev)
-        chain += partial_j1(c.error_weight, x, z) * slope
-    du_dh, du_dwd = sigmoid_layer_grads(state.w_dec, state.h_curr, config.u_max)
-    g_dec = chain * du_dwd
-    dh_dwe = approx_dhdwe(state.x_curr, state.h_curr, state.h_prev, state.u_curr, state.u_prev)
-    g_enc = chain * np.multiply.outer(du_dh, dh_dwe)
-    state.grad_log_enc.append(g_enc)
-    state.grad_log_dec.append(g_dec)
-    state.resp_prev = resp
-    return g_enc, g_dec
-
-
 def _normalized_step(w: np.ndarray, grad_log: deque, learning_rate: float) -> bool:
     if not grad_log:
         return False
@@ -265,61 +197,97 @@ def _normalized_step(w: np.ndarray, grad_log: deque, learning_rate: float) -> bo
     return True
 
 
-def apply_update(state: ControllerState, config: MlpControllerConfig) -> UpdateResult:
-    """Take one fixed-norm step per weight matrix from the windowed mean
-    gradient; a matrix whose mean gradient is (numerically) zero is left
-    untouched."""
-    return UpdateResult(
-        enc_applied=_normalized_step(state.w_enc, state.grad_log_enc, config.learning_rate),
-        dec_applied=_normalized_step(state.w_dec, state.grad_log_dec, config.learning_rate),
-    )
-
-
-def init_state(config: MlpControllerConfig, dim: int) -> ControllerState:
-    """Fresh state: small random weights in both layers (seeded), so the first
-    adjustments sit near u_max/2 but differ period to period, which is what
-    lets the sign-based slope estimates pick up a direction at all."""
-    rng = np.random.default_rng(config.rng_seed)
-    w_enc = rng.uniform(-0.1, 0.1, size=(config.hidden_dim, dim))
-    w_dec = rng.uniform(-0.1, 0.1, size=config.hidden_dim)
-    zeros_h = np.zeros(config.hidden_dim)
-    return ControllerState(
-        w_enc=w_enc,
-        w_dec=w_dec,
-        u_curr=config.u_max / 2.0,
-        u_prev=config.u_max / 2.0,
-        h_curr=zeros_h,
-        h_prev=zeros_h.copy(),
-        x_curr=np.zeros(dim),
-        resp_prev=None,
-        grad_log_enc=deque(maxlen=config.grad_window),
-        grad_log_dec=deque(maxlen=config.grad_window),
-    )
-
-
 class MlpBidController:
-    """Period-facing wrapper tying the pieces together for one campaign."""
+    """The MLP controller of one campaign: its weights, the snapshots of the
+    last two periods it ran, and its gradient windows."""
 
     def __init__(self, constraints: ConstraintSet,
                  config: MlpControllerConfig | None = None):
-        self.config = config if config is not None else MlpControllerConfig()
+        """Small random weights in both layers (seeded), so the first
+        adjustments sit near u_max/2 but differ period to period, which is
+        what lets the sign-based slope estimates pick up a direction at all."""
+        self.config = config = config if config is not None else MlpControllerConfig()
         self.constraints = constraints
-        dim = input_dim(len(constraints.constraints), self.config.feature_set)
-        self.state = init_state(self.config, dim)
+        dim = input_dim(len(constraints.constraints), config.feature_set)
+        rng = np.random.default_rng(config.rng_seed)
+        self.w_enc = rng.uniform(-0.1, 0.1, size=(config.hidden_dim, dim))
+        self.w_dec = rng.uniform(-0.1, 0.1, size=config.hidden_dim)
+        self.u_curr = self.u_prev = config.u_max / 2.0
+        self.h_curr = np.zeros(config.hidden_dim)
+        self.h_prev = np.zeros(config.hidden_dim)
+        self.x_curr = np.zeros(dim)
+        # the previous period's own counters over targets, which the slope
+        # estimate differences against; None until a period has ended
+        self.resp_prev: Optional[Sequence[float]] = None
+        self.grad_log_enc: deque = deque(maxlen=config.grad_window)
+        self.grad_log_dec: deque = deque(maxlen=config.grad_window)
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """One forward pass; rolls the current/previous snapshots."""
+        if x.shape[0] != self.w_enc.shape[1]:
+            raise ConfigurationError(
+                f"input has {x.shape[0]} entries, encoding layer expects {self.w_enc.shape[1]}")
+        u_max = self.config.u_max
+        h = self.w_enc @ x
+        u = u_max * _sigmoid(float(self.w_dec @ h))
+        u = min(max(u, u_max * _U_MARGIN), u_max * (1.0 - _U_MARGIN))
+        self.x_curr = x
+        self.h_prev, self.h_curr = self.h_curr, h
+        self.u_prev, self.u_curr = self.u_curr, u
+        return h, u
+
+    def backward(self, feedback: PeriodFeedback, period: PeriodFeedback,
+                 elapsed_fraction: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """Assemble the approximated gradients for both layers and log them.
+
+        ``feedback`` is the cumulative feedback after the period just run and
+        ``period`` that period's own counters.  The KPI error slope uses the
+        cumulative achieved values; the environment slope sign correlates each
+        period's own response with the adjustment delta, since it is the
+        per-period response that actually reacts to the current adjustment.
+        Stores this period's response as ``resp_prev``.
+        """
+        if self.resp_prev is None:
+            raise InsufficientHistory("no previous period to difference against")
+        constraints, config = self.constraints, self.config
+        xhat = normalized_feedback(constraints, feedback)
+        resp = normalized_feedback(constraints, period)
+        zhat = reference_vector(constraints, elapsed_fraction, config.budget_error_mode)
+        chain = partial_j2(config.control_weight, self.u_curr, self.u_prev)
+        for c, x, z, r, r_prev in zip(constraints.constraints, xhat, zhat, resp, self.resp_prev):
+            slope = approx_dxdu(r, r_prev, self.u_curr, self.u_prev)
+            chain += partial_j1(c.error_weight, x, z) * slope
+        du_dh, du_dwd = sigmoid_layer_grads(self.w_dec, self.h_curr, config.u_max)
+        g_dec = chain * du_dwd
+        dh_dwe = approx_dhdwe(self.x_curr, self.h_curr, self.h_prev, self.u_curr, self.u_prev)
+        g_enc = chain * np.multiply.outer(du_dh, dh_dwe)
+        self.grad_log_enc.append(g_enc)
+        self.grad_log_dec.append(g_dec)
+        self.resp_prev = resp
+        return g_enc, g_dec
+
+    def apply_update(self) -> UpdateResult:
+        """Take one fixed-norm step per weight matrix from the windowed mean
+        gradient; a matrix whose mean gradient is (numerically) zero is left
+        untouched."""
+        learning_rate = self.config.learning_rate
+        return UpdateResult(
+            enc_applied=_normalized_step(self.w_enc, self.grad_log_enc, learning_rate),
+            dec_applied=_normalized_step(self.w_dec, self.grad_log_dec, learning_rate),
+        )
 
     def begin_period(self, feedback: PeriodFeedback) -> float:
         """Produce this period's adjustment from cumulative feedback so far."""
         xhat = normalized_feedback(self.constraints, feedback)
-        _, u = forward(self.state, build_input(xhat, feedback, self.config.feature_set),
-                       self.config.u_max)
+        _, u = self.forward(build_input(xhat, feedback, self.config.feature_set))
         return u
 
     def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
                    elapsed_fraction: float = 1.0) -> None:
         """Learn from the period just run; the very first period only stores
         its response."""
-        if self.state.resp_prev is None:
-            self.state.resp_prev = normalized_feedback(self.constraints, period)
+        if self.resp_prev is None:
+            self.resp_prev = normalized_feedback(self.constraints, period)
         else:
-            backward(self.state, self.constraints, feedback, period, self.config, elapsed_fraction)
-            apply_update(self.state, self.config)
+            self.backward(feedback, period, elapsed_fraction)
+            self.apply_update()

@@ -185,6 +185,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_records < 0:
             raise ConfigurationError("n_records must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         for name in ("ctr_true", "cvr_true"):
             p = getattr(self, name)
             if not (0.0 < p < 1.0):

@@ -7,6 +7,7 @@ reported confidence intervals can be recomputed from the emitted data.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 from contextlib import contextmanager
@@ -63,6 +64,10 @@ class ControllerSpec:
     def __post_init__(self) -> None:
         if self.kind not in CONTROLLER_KINDS:
             raise ConfigurationError(f"unknown controller kind {self.kind!r}, expected one of {CONTROLLER_KINDS}")
+        if not isinstance(self.name, str):
+            raise ConfigurationError(f"controller name must be a string, got {self.name!r}")
+        if "\r" in self.name:  # the csv writer leaves it unquoted under a "\n" line end
+            raise ConfigurationError(f"controller name {self.name!r} holds a carriage return")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
         with _fields_of(f"controller {self.name!r}"):
@@ -92,6 +97,8 @@ class ExperimentSpec:
                                          f"give each controller a distinct name (config 'name')")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigurationError(f"base_seed must be >= 0, got {self.base_seed}")
         if not isinstance(self.out_dir, str) or not isinstance(self.log_path, (str, type(None))):
             raise ConfigurationError(f"log path and out_dir must be strings, "
                                      f"got {self.log_path!r} and {self.out_dir!r}")
@@ -150,19 +157,13 @@ def _cells(spec: ExperimentSpec, conditions: Sequence[_Condition]) -> Iterator[t
                 yield cond, trial, cspec, run_campaign(log, controller, spec.constraints, sim)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """A table with floats written by repr, None as an empty field, and a
+    field holding a comma, quote or newline quoted."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _emit(spec: ExperimentSpec, command: str, manifest_name: str,
@@ -265,8 +266,8 @@ def _known(d, keys: Collection[str], required: Sequence[str] = ()) -> Mapping:
 
 def _as(kind: type, key: str, value):
     """Field ``key`` of type ``kind`` read from a JSON value: an int only
-    from a JSON integer, a finite float from any JSON number, neither from
-    a bool; an enum from its value."""
+    from a JSON integer in the signed 64-bit range, a finite float from any
+    JSON number, neither from a bool; an enum from its value."""
     if kind is float and type(value) in (int, float):
         value = float(value)
         if not math.isfinite(value):
@@ -274,6 +275,8 @@ def _as(kind: type, key: str, value):
         return value
     if kind in (int, float) and type(value) is not kind:
         raise TypeError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    if kind is int and not -2**63 <= value < 2**63:  # the digits are not echoed: there may be many
+        raise ValueError(f"{key!r} must fit a signed 64-bit integer")
     return kind(value)
 
 

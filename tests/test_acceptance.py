@@ -30,7 +30,7 @@ from rtblab import (
     run_experiment,
     sweep_sparsity,
 )
-from rtblab.controller import backward, partial_j1, partial_j2, sigmoid_layer_grads
+from rtblab.controller import partial_j1, partial_j2, sigmoid_layer_grads
 from rtblab.harness import spec_from_dict, spec_to_dict
 from support import max_price, records
 
@@ -85,10 +85,6 @@ def test_01_gradient_finite_difference_oracle():
 
 
 def test_02_one_dimensional_chain_oracle():
-    from collections import deque
-
-    from rtblab.controller import ControllerState
-
     rng = np.random.default_rng(7)
     t0 = time.perf_counter()
     worst = 0.0
@@ -109,14 +105,13 @@ def test_02_one_dimensional_chain_oracle():
         u = float(rng.uniform(0.01, 0.99)) * u_max
         up = float(rng.uniform(0.01, 0.99)) * u_max
         x = rng.normal(size=2)
-        state = ControllerState(
-            w_enc=np.array([[0.1, 0.1]]), w_dec=np.array([wd]), u_curr=u, u_prev=up,
-            h_curr=np.array([h]), h_prev=np.array([hp]), x_curr=x.copy(),
-            resp_prev=np.array([resp_prev]),
-            grad_log_enc=deque(maxlen=4), grad_log_dec=deque(maxlen=4))
+        state = MlpBidController(constraints, config)
+        state.w_enc, state.w_dec = np.array([[0.1, 0.1]]), np.array([wd])
+        state.u_curr, state.u_prev, state.h_curr, state.h_prev = u, up, np.array([h]), np.array([hp])
+        state.x_curr, state.resp_prev = x.copy(), np.array([resp_prev])
         fb = PeriodFeedback(conversions=conv, cost=cost)
         period = PeriodFeedback(conversions=conv - conv_prev, cost=cost - cost_prev)
-        g_enc, g_dec = backward(state, constraints, fb, period, config)
+        g_enc, g_dec = state.backward(fb, period)
 
         # independent fully written-out scalar chain
         def sgn(v):
@@ -155,10 +150,10 @@ def test_03_normalized_step_over_500_periods():
 
         def end_period(self, fb, period, elapsed_fraction=1.0):
             nonlocal applied, violations
-            w_enc, w_dec = controller.state.w_enc.copy(), controller.state.w_dec.copy()
+            w_enc, w_dec = controller.w_enc.copy(), controller.w_dec.copy()
             controller.end_period(fb, period, elapsed_fraction)
-            for before, after in ((w_enc, controller.state.w_enc),
-                                  (w_dec, controller.state.w_dec)):
+            for before, after in ((w_enc, controller.w_enc),
+                                  (w_dec, controller.w_dec)):
                 step = float(np.linalg.norm(after - before))
                 if step > 1e-12:
                     applied += 1

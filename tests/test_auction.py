@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rtblab import (
     BidLog,
+    ConfigurationError,
     ConstraintSet,
     FixedBidController,
     MlpBidController,
@@ -285,6 +286,22 @@ def test_second_price_bound():
         outcome, cost = resolve_auction(r, 1000.0 * r.pctr * r.pcvr * ppc_e * u, 10**9)
         if outcome is AuctionOutcome.WIN:
             assert cost <= 1000.0 * r.pctr * r.pcvr * ppc_e * u
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SimConfig(budget=-1), "budget must be >= 0"),
+    (lambda: SimConfig(budget=100, period_bids=0), "period_bids must be >= 1"),
+    (lambda: SimConfig(budget=100, period_mode=PeriodMode.WALL_CLOCK, period_ms=0),
+     "period_ms must be >= 1"),
+    (lambda: SimConfig(budget=100, dropout_seed=-1), "dropout_seed must be >= 0, got -1"),
+    (lambda: apply_dropout(random_log(np.random.default_rng(0), 10), 1.5, 0),
+     "dropout probability must lie in [0, 1]"),
+], ids=["negative-budget", "zero-period-bids", "zero-period-ms", "negative-dropout-seed",
+        "dropout-above-one"])
+def test_replay_rejects(build, message):
+    with pytest.raises(ConfigurationError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 class TestDropout:

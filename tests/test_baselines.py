@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,8 +13,10 @@ from rtblab import (
     KpiKind,
     PidConfig,
     PidController,
+    SimConfig,
+    run_campaign,
 )
-from support import feedback
+from support import feedback, random_log
 
 SINGLE = ConstraintSet.single_ppc(1800)
 
@@ -90,6 +93,22 @@ class TestPid:
             PidConfig(u_min=0.5, u_max=0.2)
         with pytest.raises(ConfigurationError):
             PidConfig(kp=-0.1)
+
+    @pytest.mark.parametrize("u_init", [0.0, -0.5])
+    def test_u_init_must_be_positive(self, u_init):
+        # at u_init <= 0 every period's u used to be u_min whatever the gains
+        with pytest.raises(ConfigurationError, match="u_init must be positive and finite"):
+            PidConfig(u_init=u_init)
+
+    def test_overflowing_actuator_saturates_at_u_max(self):
+        # error -1 before the first conversion: exp(-phi) = exp(kp + ki + kd)
+        # is beyond the float range, which used to raise OverflowError
+        cfg = PidConfig(kp=800)
+        result = run_campaign(random_log(np.random.default_rng(0), 300), pid(cfg), SINGLE,
+                              SimConfig(budget=10**9, period_bids=50))
+        assert len(result.trace) == 6
+        assert result.trace[0].u == cfg.u_max
+        assert all(cfg.u_min <= t.u <= cfg.u_max for t in result.trace)
 
 
 class TestFixed:

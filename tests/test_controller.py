@@ -20,15 +20,10 @@ from rtblab import (
     run_campaign,
 )
 from rtblab.controller import (
-    ControllerState,
     _normalized_step,
-    apply_update,
     approx_dhdwe,
     approx_dxdu,
-    backward,
     build_input,
-    forward,
-    init_state,
     input_dim,
     normalized_feedback,
     partial_j1,
@@ -47,21 +42,22 @@ SINGLE = ConstraintSet.single_ppc(1800)
 MULTI = ConstraintSet.ppc_and_budget(1800, 100_000)
 
 
-def make_state(w_enc, w_dec, u_curr=0.5, u_prev=0.5, h_curr=None, h_prev=None,
-               x_curr=None, resp_prev=None, window=4):
+def make_controller(w_enc, w_dec, u_curr=0.5, u_prev=0.5, h_curr=None, h_prev=None,
+                    x_curr=None, resp_prev=None, window=4, constraints=SINGLE, config=None):
+    """A controller whose state is set to the given values; ``window`` is
+    its grad_window unless ``config`` is given."""
     w_enc = np.asarray(w_enc, dtype=float)
     w_dec = np.asarray(w_dec, dtype=float)
     hidden, dim = w_enc.shape
     zeros_h = np.zeros(hidden)
     zeros_x = np.zeros(dim)
-    return ControllerState(
-        w_enc=w_enc, w_dec=w_dec, u_curr=u_curr, u_prev=u_prev,
-        h_curr=np.asarray(h_curr, float) if h_curr is not None else zeros_h,
-        h_prev=np.asarray(h_prev, float) if h_prev is not None else zeros_h.copy(),
-        x_curr=np.asarray(x_curr, float) if x_curr is not None else zeros_x,
-        resp_prev=np.asarray(resp_prev, float) if resp_prev is not None else None,
-        grad_log_enc=deque(maxlen=window), grad_log_dec=deque(maxlen=window),
-    )
+    c = MlpBidController(constraints, config or MlpControllerConfig(grad_window=window))
+    c.w_enc, c.w_dec, c.u_curr, c.u_prev = w_enc, w_dec, u_curr, u_prev
+    c.h_curr = np.asarray(h_curr, float) if h_curr is not None else zeros_h
+    c.h_prev = np.asarray(h_prev, float) if h_prev is not None else zeros_h.copy()
+    c.x_curr = np.asarray(x_curr, float) if x_curr is not None else zeros_x
+    c.resp_prev = np.asarray(resp_prev, float) if resp_prev is not None else None
+    return c
 
 
 class TestBuildInput:
@@ -92,14 +88,14 @@ class TestBuildInput:
 
 class TestForward:
     def test_zero_decision_weights_give_half_u_max(self):
-        state = make_state(np.eye(2), [0.0, 0.0])
-        h, u = forward(state, np.array([1.0, 1.0]), u_max=1.0)
+        state = make_controller(np.eye(2), [0.0, 0.0])
+        h, u = state.forward(np.array([1.0, 1.0]))
         assert h.tolist() == [1.0, 1.0]
         assert u == 0.5
 
     def test_logistic_of_one(self):
-        state = make_state(np.eye(2), [1.0, 0.0])
-        _, u = forward(state, np.array([1.0, 0.0]), u_max=1.0)
+        state = make_controller(np.eye(2), [1.0, 0.0])
+        _, u = state.forward(np.array([1.0, 0.0]))
         assert u == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), rel=1e-12)
 
     def test_matches_naive_triple_loop(self):
@@ -107,8 +103,8 @@ class TestForward:
         w_enc = rng.normal(size=(4, 6))
         w_dec = rng.normal(size=4)
         x = rng.normal(size=6)
-        state = make_state(w_enc, w_dec)
-        h, u = forward(state, x, u_max=1.0)
+        state = make_controller(w_enc, w_dec)
+        h, u = state.forward(x)
         # independent naive oracle
         h_ref = [sum(w_enc[i][j] * x[j] for j in range(6)) for i in range(4)]
         a_ref = sum(w_dec[i] * h_ref[i] for i in range(4))
@@ -117,19 +113,19 @@ class TestForward:
         assert u == pytest.approx(u_ref, rel=1e-12)
 
     def test_rolls_previous_snapshots(self):
-        state = make_state(np.eye(2), [0.3, -0.2])
+        state = make_controller(np.eye(2), [0.3, -0.2])
         x1 = np.array([1.0, 0.2])
         x2 = np.array([1.0, 0.7])
-        h1, u1 = forward(state, x1, u_max=1.0)
-        h2, u2 = forward(state, x2, u_max=1.0)
+        h1, u1 = state.forward(x1)
+        h2, u2 = state.forward(x2)
         assert state.u_prev == u1 and state.u_curr == u2
         assert np.array_equal(state.h_prev, h1) and np.array_equal(state.h_curr, h2)
         assert np.array_equal(state.x_curr, x2)
 
     def test_dimension_mismatch(self):
-        state = make_state(np.eye(2), [0.0, 0.0])
+        state = make_controller(np.eye(2), [0.0, 0.0])
         with pytest.raises(ConfigurationError):
-            forward(state, np.array([1.0, 2.0, 3.0]), u_max=1.0)
+            state.forward(np.array([1.0, 2.0, 3.0]))
 
 
 class TestKpiError:
@@ -344,18 +340,17 @@ def hand_expanded_1d(q, r, target, cost, conv, cost_prev, conv_prev, resp_prev,
 class TestBackward:
     def test_requires_history(self):
         config = MlpControllerConfig(hidden_dim=1, feature_set=FeatureSet.NONE)
-        state = init_state(config, 2)
+        state = MlpBidController(SINGLE, config)
         with pytest.raises(InsufficientHistory):
-            backward(state, SINGLE, feedback(conv=1, cost=1800), feedback(conv=1, cost=1800),
-                     config)
+            state.backward(feedback(conv=1, cost=1800), feedback(conv=1, cost=1800))
 
     def test_stationary_point_gives_zero_gradients(self):
         config = MlpControllerConfig(hidden_dim=1, feature_set=FeatureSet.NONE)
         fb = feedback(conv=10, cost=18_000)  # achieved PPC exactly on target
-        state = make_state([[0.1, 0.2]], [0.3], u_curr=0.5, u_prev=0.5,
-                           h_curr=[1.0], h_prev=[0.5], x_curr=[1.0, 1.0],
-                           resp_prev=[1.0])
-        g_enc, g_dec = backward(state, SINGLE, fb, feedback(conv=6, cost=10_800), config)
+        state = make_controller([[0.1, 0.2]], [0.3], u_curr=0.5, u_prev=0.5,
+                                h_curr=[1.0], h_prev=[0.5], x_curr=[1.0, 1.0],
+                                resp_prev=[1.0], config=config)
+        g_enc, g_dec = state.backward(fb, feedback(conv=6, cost=10_800))
         assert np.all(g_enc == 0.0) and np.all(g_dec == 0.0)
 
     def test_matches_hand_expansion_1d(self):
@@ -376,11 +371,11 @@ class TestBackward:
             h, hp = rng.normal(), rng.normal()
             u, up = rng.uniform(0.01, 0.99) * u_max, rng.uniform(0.01, 0.99) * u_max
             x = rng.normal(size=2)
-            state = make_state([[0.1, 0.1]], [wd], u_curr=u, u_prev=up,
-                               h_curr=[h], h_prev=[hp], x_curr=x,
-                               resp_prev=[resp_prev])
-            g_enc, g_dec = backward(state, constraints, feedback(conv=conv, cost=cost),
-                                    feedback(conv=conv - conv_prev, cost=cost - cost_prev), config)
+            state = make_controller([[0.1, 0.1]], [wd], u_curr=u, u_prev=up,
+                                    h_curr=[h], h_prev=[hp], x_curr=x,
+                                    resp_prev=[resp_prev], constraints=constraints, config=config)
+            g_enc, g_dec = state.backward(feedback(conv=conv, cost=cost),
+                                          feedback(conv=conv - conv_prev, cost=cost - cost_prev))
             ref_enc, ref_dec = hand_expanded_1d(q, r, 1800, cost, conv, cost_prev, conv_prev,
                                                 resp_prev, u, up, wd, h, hp, x, u_max)
             assert np.allclose(g_enc, ref_enc, rtol=1e-12, atol=1e-12)
@@ -391,11 +386,10 @@ class TestBackward:
         constraints = ConstraintSet.single_ppc(1800, ppc_weight=q)
         config = MlpControllerConfig(hidden_dim=1, feature_set=FeatureSet.NONE,
                                      control_weight=2.0)
-        state = make_state([[0.1, 0.1]], [0.4], u_curr=0.7, u_prev=0.5,
-                           h_curr=[1.2], h_prev=[0.8], x_curr=[1.0, 0.5],
-                           resp_prev=[0.2])
-        g_enc, g_dec = backward(state, constraints, feedback(conv=1, cost=9000),
-                                feedback(conv=1, cost=9000), config)
+        state = make_controller([[0.1, 0.1]], [0.4], u_curr=0.7, u_prev=0.5,
+                                h_curr=[1.2], h_prev=[0.8], x_curr=[1.0, 0.5],
+                                resp_prev=[0.2], constraints=constraints, config=config)
+        g_enc, g_dec = state.backward(feedback(conv=1, cost=9000), feedback(conv=1, cost=9000))
         chain = partial_j2(2.0, 0.7, 0.5)
         du_dh, du_dwd = sigmoid_layer_grads(np.array([0.4]), np.array([1.2]), 1.0)
         hebb = approx_dhdwe(np.array([1.0, 0.5]), np.array([1.2]), np.array([0.8]), 0.7, 0.5)
@@ -404,12 +398,11 @@ class TestBackward:
 
     def test_gradients_are_logged(self):
         config = MlpControllerConfig(hidden_dim=1, feature_set=FeatureSet.NONE, grad_window=2)
-        state = make_state([[0.1, 0.1]], [0.4], u_curr=0.7, u_prev=0.5,
-                           h_curr=[1.2], h_prev=[0.8], x_curr=[1.0, 0.5],
-                           resp_prev=[0.2], window=2)
+        state = make_controller([[0.1, 0.1]], [0.4], u_curr=0.7, u_prev=0.5,
+                                h_curr=[1.2], h_prev=[0.8], x_curr=[1.0, 0.5],
+                                resp_prev=[0.2], config=config)
         for _ in range(3):
-            backward(state, SINGLE, feedback(conv=1, cost=9000), feedback(conv=1, cost=9000),
-                     config)
+            state.backward(feedback(conv=1, cost=9000), feedback(conv=1, cost=9000))
         assert len(state.grad_log_enc) == 2  # ring buffer caps at the window
         assert len(state.grad_log_dec) == 2
 
@@ -418,53 +411,64 @@ class TestApplyUpdate:
     config = MlpControllerConfig(hidden_dim=2, feature_set=FeatureSet.NONE)
 
     def test_zero_gradients_skip(self):
-        state = init_state(self.config, 2)
+        state = MlpBidController(SINGLE, self.config)
         state.grad_log_enc.append(np.zeros((2, 2)))
         state.grad_log_dec.append(np.zeros(2))
         before_enc, before_dec = state.w_enc.copy(), state.w_dec.copy()
-        result = apply_update(state, self.config)
+        result = state.apply_update()
         assert not result.enc_applied and not result.dec_applied
         assert np.array_equal(state.w_enc, before_enc)
         assert np.array_equal(state.w_dec, before_dec)
 
     def test_single_gradient_step_has_norm_eta(self):
-        state = init_state(self.config, 2)
+        state = MlpBidController(SINGLE, self.config)
         rng = np.random.default_rng(3)
         state.grad_log_enc.append(rng.normal(size=(2, 2)) * 37.0)
         state.grad_log_dec.append(rng.normal(size=2) * 0.001)
         before_enc, before_dec = state.w_enc.copy(), state.w_dec.copy()
-        result = apply_update(state, self.config)
+        result = state.apply_update()
         assert result.enc_applied and result.dec_applied
         assert np.linalg.norm(state.w_enc - before_enc) == pytest.approx(0.01, abs=1e-9)
         assert np.linalg.norm(state.w_dec - before_dec) == pytest.approx(0.01, abs=1e-9)
 
     def test_cancelling_gradients_skip(self):
-        state = init_state(self.config, 2)
+        state = MlpBidController(SINGLE, self.config)
         g = np.array([[1.0, -2.0], [0.5, 0.25]])
         state.grad_log_enc.append(g)
         state.grad_log_enc.append(-g)
         before = state.w_enc.copy()
-        result = apply_update(state, self.config)
+        result = state.apply_update()
         assert not result.enc_applied
         assert np.array_equal(state.w_enc, before)
 
     def test_empty_log_skips(self):
-        state = init_state(self.config, 2)
-        result = apply_update(state, self.config)
+        state = MlpBidController(SINGLE, self.config)
+        result = state.apply_update()
         assert not result.enc_applied and not result.dec_applied
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("hidden_dim", 0, "hidden_dim must be >= 1"),
+    ("grad_window", 0, "grad_window must be >= 1"),
+    ("rng_seed", -1, "rng_seed must be >= 0, got -1"),
+])
+def test_config_rejects(field, value, message):
+    with pytest.raises(ConfigurationError) as exc:
+        MlpControllerConfig(**{field: value})
+    assert str(exc.value) == message
 
 
 class TestInit:
     def test_same_seed_bit_identical(self):
-        a = init_state(MlpControllerConfig(rng_seed=123), 8)
-        b = init_state(MlpControllerConfig(rng_seed=123), 8)
+        a = MlpBidController(MULTI, MlpControllerConfig(rng_seed=123))
+        b = MlpBidController(MULTI, MlpControllerConfig(rng_seed=123))
         assert a.w_enc.tobytes() == b.w_enc.tobytes()
         assert a.w_dec.tobytes() == b.w_dec.tobytes()
 
     def test_dimension_bookkeeping(self):
         dim = input_dim(2, FeatureSet.FULL)
         assert dim == 8
-        state = init_state(MlpControllerConfig(hidden_dim=8), dim)
+        state = MlpBidController(MULTI, MlpControllerConfig(hidden_dim=8))
         assert state.w_enc.shape == (8, 8)
         assert state.w_dec.shape == (8,)
 
@@ -474,7 +478,7 @@ class TestInit:
         assert 0.3 < u < 0.7
 
     def test_weights_small(self):
-        state = init_state(MlpControllerConfig(rng_seed=0), 8)
+        state = MlpBidController(MULTI, MlpControllerConfig(rng_seed=0))
         assert np.all(np.abs(state.w_enc) < 0.1)
         assert np.all(np.abs(state.w_dec) < 0.1)
 
@@ -508,7 +512,7 @@ class TestControllerLoop:
         for _ in range(2):
             c = MlpBidController(MULTI, MlpControllerConfig(rng_seed=21))
             _drive(c, seq)
-            runs.append((c.state.w_enc.tobytes(), c.state.w_dec.tobytes()))
+            runs.append((c.w_enc.tobytes(), c.w_dec.tobytes()))
         assert runs[0] == runs[1]
 
     def test_adjustment_stays_in_open_range(self):
@@ -529,22 +533,22 @@ class TestControllerLoop:
     def test_every_applied_update_has_fixed_norm(self):
         c = MlpBidController(MULTI, MlpControllerConfig(rng_seed=4))
         for fb_before, fb_after, fb_period, elapsed in _synthetic_feedback_walk(5, periods=80):
-            w_enc, w_dec = c.state.w_enc.copy(), c.state.w_dec.copy()
+            w_enc, w_dec = c.w_enc.copy(), c.w_dec.copy()
             c.begin_period(fb_before)
             c.end_period(fb_after, fb_period, elapsed)
-            for before, after in ((w_enc, c.state.w_enc), (w_dec, c.state.w_dec)):
+            for before, after in ((w_enc, c.w_enc), (w_dec, c.w_dec)):
                 step = np.linalg.norm(after - before)
                 assert step == pytest.approx(0.0, abs=1e-12) or \
                     step == pytest.approx(0.01, abs=1e-9)
 
     def test_first_period_skips_update(self):
         c = MlpBidController(SINGLE, MlpControllerConfig(rng_seed=6))
-        w_enc = c.state.w_enc.copy()
+        w_enc = c.w_enc.copy()
         c.begin_period(feedback())
         fb = feedback(imp=10, clk=2, conv=1, cost=900, bids=100)
         c.end_period(fb, fb, 0.1)
-        assert np.array_equal(c.state.w_enc, w_enc)
-        assert c.state.resp_prev is not None
+        assert np.array_equal(c.w_enc, w_enc)
+        assert c.resp_prev is not None
 
 
 def test_directional_sanity_under_budget_pressure():

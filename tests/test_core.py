@@ -110,6 +110,15 @@ class TestValidation:
                 ppc_expected=100,
             )
 
+    @pytest.mark.parametrize("constraints, ppc_expected, message", [
+        ((), 100, "need at least one constraint"),
+        ((KpiConstraint(KpiKind.PPC_TARGET, 100),), 0, "ppc_expected must be positive, got 0"),
+    ], ids=["no-constraints", "zero-ppc-expected"])
+    def test_constraint_set_rejects(self, constraints, ppc_expected, message):
+        with pytest.raises(ConfigurationError) as exc:
+            ConstraintSet(constraints, ppc_expected)
+        assert str(exc.value) == message
+
     def test_stock_shapes(self):
         single = ConstraintSet.single_ppc(1800)
         assert [c.kind for c in single.constraints] == [KpiKind.PPC_TARGET]

@@ -38,6 +38,11 @@ class TestParse:
     def test_empty_after_header(self):
         assert list(parse_canonical(io.StringIO(HEADER))) == []
 
+    def test_empty_input(self):
+        with pytest.raises(MalformedRow) as err:
+            list(parse_canonical(io.StringIO("")))
+        assert str(err.value) == "line 1: empty input, missing header"
+
     def test_missing_header(self):
         with pytest.raises(MalformedRow) as err:
             list(parse_canonical(io.StringIO("1,0.01,0.02,70,0,0\n")))
@@ -235,6 +240,15 @@ class TestSynthetic:
     def test_empty(self):
         assert len(generate_synthetic(SynthConfig(n_records=0))) == 0
 
+    @pytest.mark.parametrize("field, message", [
+        ("n_records", "n_records must be >= 0"),
+        ("seed", "seed must be >= 0, got -1"),
+    ])
+    def test_negative_count_or_seed_rejected(self, field, message):
+        with pytest.raises(ConfigurationError) as exc:
+            SynthConfig(**{field: -1})
+        assert str(exc.value) == message
+
     def test_same_seed_identical(self):
         a = generate_synthetic(SynthConfig(n_records=1000, seed=11))
         b = generate_synthetic(SynthConfig(n_records=1000, seed=11))
@@ -287,6 +301,12 @@ class TestConvert:
         columns = ColumnMap(ts=2, pctr=5, pcvr=3, market_price=0, click=4, conversion=1)
         out = "".join(convert_ipinyou(iter(raw_lines), columns))
         assert out == "\n".join(canonical_lines) + "\n"
+
+    def test_blank_lines_are_skipped(self):
+        columns = ColumnMap(ts=0, pctr=1, pcvr=2, market_price=3, click=4, conversion=5)
+        raw = ["1\t0.1\t0.1\t70\t0\t0\n", "\n", "\r\n", "2\t0.2\t0.1\t80\t1\t0\n"]
+        out = list(convert_ipinyou(iter(raw), columns))
+        assert out == [HEADER, "1,0.1,0.1,70,0,0\n", "2,0.2,0.1,80,1,0\n"]
 
     def test_row_shorter_than_map(self):
         columns = ColumnMap(ts=0, pctr=1, pcvr=2, market_price=3, click=4, conversion=5)

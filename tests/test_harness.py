@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -543,6 +544,17 @@ class TestCli:
          "manifest: unknown key 'p_list'"),
         ("sweep-sparsity", {"command": "sweep-sparsity", "spec": {**VALID_CONFIG, "p_list": [0.5]}},
          "config: unknown key 'p_list'"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp", "params": {"rng_seed": -1}}]},
+         "controller 'mlp': rng_seed must be >= 0, got -1"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp",
+                                                  "params": {"grad_window": 10**20}}]},
+         "controller 'mlp': 'grad_window' must fit a signed 64-bit integer"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "pid", "params": {"u_init": 0}}]},
+         "controller 'pid': u_init must be positive and finite, got 0.0"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "fixed", "name": 7}]},
+         "config controller 0: controller name must be a string, got 7"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "fixed", "name": "a\rb"}]},
+         "config controller 0: controller name 'a\\rb' holds a carriage return"),
     ], ids=["p_list-not-list", "top-level-not-object", "log-not-object", "sim-not-object",
             "log-missing", "budget-not-int", "controllers-not-list", "trials-not-int",
             "unknown-synthetic-key", "unknown-controller-param", "unknown-kpi-kind",
@@ -553,7 +565,8 @@ class TestCli:
             "unknown-kpi-key", "unknown-constraints-key", "unknown-log-key",
             "unknown-manifest-key", "nonzero-dropout-seed", "p_list-bool-and-string",
             "p_list-empty", "p_list-given-to-run", "p_list-in-run-manifest",
-            "p_list-inside-manifest-spec"])
+            "p_list-inside-manifest-spec", "rng-seed-negative", "grad-window-huge-int",
+            "u-init-zero", "name-not-string", "name-with-carriage-return"])
     def test_config_of_wrong_shape_is_one_line_error(self, tmp_path, monkeypatch, capsys,
                                                      command, doc, message):
         monkeypatch.chdir(tmp_path)
@@ -591,11 +604,24 @@ class TestCli:
          "controller 'fixed': 'u_const' must be finite, got nan"),
         ("controller", "u_const", True,
          "controller 'fixed': 'u_const' must be a number, got True"),
+        (None, "base_seed", -1, "base_seed must be >= 0, got -1"),
+        ("synthetic", "seed", -1, "config section 'log': seed must be >= 0, got -1"),
+        ("sim", "dropout_seed", -1, "config section 'sim': dropout_seed must be >= 0, got -1"),
+        ("sim", "budget", 10**400,
+         "config section 'sim': 'budget' must fit a signed 64-bit integer"),
+        ("constraints", "ppc_expected", 10**400,
+         "config section 'constraints': 'ppc_expected' must fit a signed 64-bit integer"),
+        ("kpi", "target", 2**63,
+         "config section 'constraints': 'target' must fit a signed 64-bit integer"),
+        ("synthetic", "n_records", -2**63 - 1,
+         "config section 'log': 'n_records' must fit a signed 64-bit integer"),
     ], ids=["budget-float", "period_bids-float", "period_ms-float", "dropout_p-bool",
             "trials-bool", "base_seed-float", "n_records-float", "synth-seed-string",
             "ctr_true-bool", "ppc_expected-bool", "target-float", "error_weight-string",
             "error_weight-huge-int", "error_weight-nan", "price_log_mean-nan",
-            "u_const-nan", "u_const-bool"])
+            "u_const-nan", "u_const-bool", "base_seed-negative", "synth-seed-negative",
+            "dropout_seed-negative", "budget-huge-int", "ppc_expected-huge-int",
+            "target-2**63", "n_records-below-int64"])
     def test_config_number_of_wrong_type_is_one_line_error(self, tmp_path, monkeypatch, capsys,
                                                           section, field, value, message):
         # each of these used to run (cast by int()/float()) or end in a traceback
@@ -660,6 +686,62 @@ class TestCli:
         assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
         assert "--period-bids" in err and "--period-ms" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--seed", "-1"], "base_seed must be >= 0, got -1"),
+        (["run", "--synth-seed", "-1"], "config section 'log': seed must be >= 0, got -1"),
+        (["run", "--ppc-expected", str(10**400)],
+         "config section 'constraints': 'ppc_expected' must fit a signed 64-bit integer"),
+        (["run", "--budget", str(10**400)],
+         "config section 'sim': 'budget' must fit a signed 64-bit integer"),
+        (["gen-synthetic", "--seed", "-1"], "gen-synthetic: seed must be >= 0, got -1"),
+    ], ids=["seed", "synth-seed", "ppc-expected", "budget", "gen-synthetic-seed"])
+    def test_out_of_range_integer_flag_is_one_line_error(self, tmp_path, monkeypatch, capsys,
+                                                         argv, message):
+        # a negative seed used to end in a ValueError traceback, a 400-digit
+        # --ppc-expected in an OverflowError, and a 400-digit budget ran
+        monkeypatch.chdir(tmp_path)
+        base = (["gen-synthetic", "--n", "100", "--out", "log.csv"] if argv[0] == "gen-synthetic"
+                else ["run", "--synthetic", "400", "--budget", "50000", "--ppc-target", "1800"])
+        rc = main(base + argv[1:])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: ConfigurationError: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv, rc, message", [
+        (["--synthetic", "400", "--ppc-target", "1800"], 2,
+         "ConfigurationError: need --budget and --ppc-target (or --preset / --config)"),
+        (["--synthetic", "400", "--log", "log.csv", "--budget", "1000", "--ppc-target", "1800"], 2,
+         "ConfigurationError: specify exactly one of --log / --synthetic"),
+        (["--log", "a_dir", "--budget", "1000", "--ppc-target", "1800"], 1,
+         "IsADirectoryError: [Errno 21] Is a directory: 'a_dir'"),
+        (["--synthetic", "400", "--budget", "1000", "--ppc-target", "1800", "--out", "a_file"], 1,
+         "FileExistsError: [Errno 17] File exists: 'a_file'"),
+    ], ids=["no-budget", "log-and-synthetic", "log-is-directory", "out-is-file"])
+    def test_run_flag_errors(self, tmp_path, monkeypatch, capsys, argv, rc, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "a_file").write_text("")
+        assert main(["run", *argv]) == rc
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(os.listdir(tmp_path)) == ["a_dir", "a_file"]
+
+    def test_controller_names_are_quoted_in_csvs(self, tmp_path):
+        # "a,b" used to write an 8-field row under the 7-column header, and a
+        # newline split its row in two
+        names = ("a,b", 'say "hi"', "two\nlines")
+        controllers = [ControllerSpec(kind=kind, name=name)
+                       for kind, name in zip(("fixed", "pid", "mlp"), names)]
+        paths = run_experiment(small_spec(tmp_path / "a", controllers))
+        for key, width in (("metrics", 7), ("trace", 9)):
+            with open(paths[key], encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert len(header) == width and all(len(row) == width for row in rows)
+            assert {row[0] for row in rows} == set(names)
+        rc = main(["run", "--config", str(paths["manifest"]), "--out", str(tmp_path / "b")])
+        assert rc == 0
+        for name in ("metrics.csv", "trace.csv"):
+            assert (tmp_path / "b" / name).read_bytes() == paths[name[:-4]].read_bytes()
 
     def test_config_with_out_trials_and_p_list(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -781,6 +863,26 @@ def test_config_float_field_must_be_finite(cls, name, value):
                 SimConfig: {"budget": 1000}}.get(cls, {})
     with pytest.raises(ConfigurationError):
         cls(**required, **{name: value})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda out: ControllerSpec(kind="nope"),
+     "unknown controller kind 'nope', expected one of ('mlp', 'pid', 'fixed')"),
+    (lambda out: small_spec(out, synth=None),
+     "specify exactly one log source (log_path or synth)"),
+    (lambda out: small_spec(out, controllers=()), "need at least one controller"),
+    (lambda out: small_spec(out, trials=0), "trials must be >= 1"),
+    (lambda out: small_spec(out, base_seed=-1), "base_seed must be >= 0, got -1"),
+    (lambda out: spec_from_dict({**VALID_CONFIG, "controllers": [7]}),
+     "config controller 0: expected an object, got int"),
+    (lambda out: sweep_sparsity(small_spec(out), [1.5]), "dropout level 1.5 outside [0, 1]"),
+], ids=["unknown-kind", "no-log-source", "no-controllers", "zero-trials", "negative-base-seed",
+        "controller-not-object", "dropout-level-above-one"])
+def test_harness_rejects_bad_spec(tmp_path, build, message):
+    with pytest.raises(ConfigurationError) as exc:
+        build(tmp_path / "out")
+    assert str(exc.value) == message
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_library_example_runs(tmp_path):
