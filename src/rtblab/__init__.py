@@ -24,13 +24,11 @@ from .controller import (
     MlpControllerConfig,
 )
 from .core import (
-    CampaignMetrics,
     ConfigurationError,
     ConstraintSet,
     KpiConstraint,
     KpiKind,
     PeriodFeedback,
-    compute_metrics,
     feedback_value,
 )
 from .data import (
@@ -57,13 +55,13 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BidLog", "BudgetErrorMode", "CampaignMetrics", "CampaignResult",
+    "BidLog", "BudgetErrorMode", "CampaignResult",
     "ColumnMap", "ConfigurationError", "ConstraintSet", "ControllerSpec",
     "ExperimentSpec", "FeatureSet", "FixedBidController",
     "InsufficientHistory", "KpiConstraint", "KpiKind", "LabelViolation",
     "LogFormatError", "MalformedRow", "MlpBidController", "MlpControllerConfig",
     "NonMonotonicTimestamp", "PeriodFeedback", "PeriodMode", "PeriodTrace", "PidConfig",
-    "PidController", "SimConfig", "SynthConfig", "apply_dropout", "compute_metrics",
+    "PidController", "SimConfig", "SynthConfig", "apply_dropout",
     "convert_ipinyou", "feedback_value", "generate_synthetic", "parse_canonical",
     "run_ablation", "run_campaign", "run_experiment", "run_period",
     "serialize_canonical", "sweep_sparsity",

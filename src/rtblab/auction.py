@@ -16,13 +16,7 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
-from .core import (
-    CampaignMetrics,
-    ConfigurationError,
-    ConstraintSet,
-    PeriodFeedback,
-    compute_metrics,
-)
+from .core import ConfigurationError, ConstraintSet, PeriodFeedback
 from .data import BidLog
 
 
@@ -46,10 +40,14 @@ class SimConfig:
             raise ConfigurationError("budget must be >= 0")
         if not (0.0 <= self.dropout_p <= 1.0):
             raise ConfigurationError("dropout_p must lie in [0, 1]")
-        if self.period_mode is PeriodMode.COUNT and self.period_bids < 1:
-            raise ConfigurationError("period_bids must be >= 1")
-        if self.period_mode is PeriodMode.WALL_CLOCK and self.period_ms < 1:
-            raise ConfigurationError("period_ms must be >= 1")
+        used, unused = (("period_bids", "period_ms") if self.period_mode is PeriodMode.COUNT
+                        else ("period_ms", "period_bids"))
+        if getattr(self, used) < 1:
+            raise ConfigurationError(f"{used} must be >= 1")
+        default = getattr(SimConfig, unused)
+        if getattr(self, unused) != default:
+            raise ConfigurationError(f"{unused} is unused in {self.period_mode.value} mode; "
+                                     f"leave it at its default {default}")
         if self.dropout_seed < 0:
             raise ConfigurationError(f"dropout_seed must be >= 0, got {self.dropout_seed}")
 
@@ -135,7 +133,7 @@ class PeriodTrace:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    metrics: CampaignMetrics
+    feedback: PeriodFeedback      # cumulative counters of the whole campaign
     trace: tuple[PeriodTrace, ...]
     terminated: bool
     records: int                  # opportunities in the (post-dropout) stream
@@ -178,7 +176,7 @@ def run_campaign(log: BidLog, controller: PeriodController,
             terminated = True
             break
     return CampaignResult(
-        metrics=compute_metrics(cumulative),
+        feedback=cumulative,
         trace=tuple(trace),
         terminated=terminated,
         records=n,

@@ -36,7 +36,8 @@ class PidController:
     u = clamp(u_init * exp(-phi)): negative error (achieved PPC under
     target) raises the multiplier, positive error lowers it, and u stays
     positive without asymmetric clipping.  An ``exp(-phi)`` beyond the float
-    range saturates at u_max, the bound the clamp applies.  Under
+    range saturates at u_max, the bound the clamp applies, and so does a
+    NaN ``phi`` (gains so large that their terms are inf - inf).  Under
     multi-constraint runs the budget acts only through the replay's hard
     termination.
     """
@@ -60,7 +61,7 @@ class PidController:
             u = cfg.u_init * math.exp(-phi)
         except OverflowError:
             return cfg.u_max
-        return min(max(u, cfg.u_min), cfg.u_max)
+        return max(cfg.u_min, min(cfg.u_max, u))  # NaN goes to u_max
 
     def begin_period(self, feedback: PeriodFeedback) -> float:
         error = feedback_value(self._ppc, feedback) / self._ppc.target - 1.0

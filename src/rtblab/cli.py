@@ -45,7 +45,10 @@ _SYNTH_FLAGS = (("--ctr", "ctr_true", "true click rate"),
                 ("--seed", "seed", "generator seed"))
 
 
-def _add_spec_flags(p: argparse.ArgumentParser, default_trials: int = 1) -> None:
+def _add_spec_flags(p: argparse.ArgumentParser, default_trials: int | None = None) -> None:
+    """The spec flags; ``default_trials``, if given, replaces the spec's
+    default number of trials when the flags build the spec."""
+    p.set_defaults(default_trials=default_trials)
     p.add_argument("--config", help="JSON experiment config or a previously written manifest; "
                                     "only --out, --trials and --p-list may be given with it")
     p.add_argument("--log", help="canonical bid-log CSV to replay")
@@ -71,7 +74,7 @@ def _add_spec_flags(p: argparse.ArgumentParser, default_trials: int = 1) -> None
     p.add_argument("--dropout", type=float,
                    help="probability of dropping each record (default 0)")
     p.add_argument("--trials", type=int,
-                   help=f"repeated trials (default {default_trials})")
+                   help=f"repeated trials (default {default_trials or ExperimentSpec.trials})")
     p.add_argument("--seed", type=int, help="base seed (default 0)")
     p.add_argument("--out", help="output directory (default ./out)")
 
@@ -80,7 +83,7 @@ def _given(**fields) -> dict:
     return {key: value for key, value in fields.items() if value is not None}
 
 
-def _flags_doc(args: argparse.Namespace, default_trials: int | None) -> dict:
+def _flags_doc(args: argparse.Namespace) -> dict:
     """The config document the spec flags describe.  A flag that was not
     given is left out, so the dataclass that reads it supplies the default."""
     preset = PRESETS.get(args.preset, {})
@@ -106,16 +109,16 @@ def _flags_doc(args: argparse.Namespace, default_trials: int | None) -> dict:
                    dropout_p=args.dropout),
         controllers=[{"kind": kind} for kind in args.controller or ["mlp"]],
         constraints={"ppc_expected": ppc_expected, "kpis": kpis},
-        trials=default_trials,
+        trials=args.default_trials,
         base_seed=args.seed,
     )
 
 
-def _load_doc(args: argparse.Namespace, default_trials: int | None = None) -> dict:
+def _load_doc(args: argparse.Namespace) -> dict:
     """The command's config document: the --config file, or the document
     its spec flags describe."""
     if not args.config:
-        return _flags_doc(args, default_trials)
+        return _flags_doc(args)
     spec_flags = argparse.ArgumentParser(add_help=False)  # the flags --config describes instead
     _add_spec_flags(spec_flags)
     given = [action.option_strings[0] for action in spec_flags._actions
@@ -149,12 +152,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    doc = _load_doc(args, default_trials=100)
+    doc = _load_doc(args)
     p_list = levels_from_dict(doc)
     doc.pop("p_list", None)  # the sweep's own key, which spec_from_dict rejects
     if args.p_list is not None:
         p_list = [tok for tok in args.p_list.split(",") if tok]
-    paths = sweep_sparsity(_build_spec(args, doc), p_list)
+    spec = _build_spec(args, doc)
+    if spec.sim.dropout_p != 0.0:
+        raise ConfigurationError("a sweep's dropout levels replace sim.dropout_p (--dropout); "
+                                 "leave it at 0 and list the levels in p_list (--p-list)")
+    paths = sweep_sparsity(spec, p_list)
     print("wrote " + " ".join(str(path) for path in paths.values()))
     return 0
 

@@ -207,6 +207,9 @@ class MlpBidController:
         adjustments sit near u_max/2 but differ period to period, which is
         what lets the sign-based slope estimates pick up a direction at all."""
         self.config = config = config if config is not None else MlpControllerConfig()
+        paced = config.budget_error_mode is BudgetErrorMode.PACED
+        if paced and constraints.find(KpiKind.BUDGET) is None:
+            raise ConfigurationError("budget_error_mode 'paced' needs a budget constraint to pace")
         self.constraints = constraints
         dim = input_dim(len(constraints.constraints), config.feature_set)
         rng = np.random.default_rng(config.rng_seed)

@@ -135,30 +135,6 @@ class PeriodFeedback:
         return self.sum_pcvr / self.bids_participated if self.bids_participated else 0.0
 
 
-@dataclass(frozen=True)
-class CampaignMetrics:
-    """Campaign rollup. ``ppc`` is cost per conversion and is absent (None)
-    until the first conversion lands."""
-
-    imp: int
-    clk: int
-    conv: int
-    cost: int
-    ppc: Optional[float]
-
-
-def compute_metrics(feedback: PeriodFeedback) -> CampaignMetrics:
-    """Roll cumulative feedback up into reported campaign metrics."""
-    conv = feedback.conversions
-    return CampaignMetrics(
-        imp=feedback.impressions,
-        clk=feedback.clicks,
-        conv=conv,
-        cost=feedback.cost,
-        ppc=feedback.cost / conv if conv > 0 else None,
-    )
-
-
 def feedback_value(constraint: KpiConstraint, feedback: PeriodFeedback) -> float:
     """The raw achieved value a constraint is compared against.
 

@@ -20,7 +20,8 @@ import numpy as np
 from .auction import CampaignResult, SimConfig, run_campaign
 from .baselines import FixedBidController, PidConfig, PidController
 from .controller import FeatureSet, MlpBidController, MlpControllerConfig
-from .core import ConfigurationError, ConstraintSet, KpiConstraint, KpiKind, feedback_value
+from .core import (ConfigurationError, ConstraintSet, KpiConstraint, KpiKind, PeriodFeedback,
+                   feedback_value)
 from .data import BidLog, SynthConfig, generate_synthetic
 
 # Each controller kind and the config dataclass its ``params`` are read into.
@@ -208,11 +209,15 @@ def _trace_rows(name: str, trial: int, result: CampaignResult,
     return rows
 
 
-_METRIC_COLUMNS = ["imp", "clk", "conv", "cost", "ppc"]  # CampaignMetrics fields
+_METRIC_COLUMNS = ["imp", "clk", "conv", "cost", "ppc"]
 
 
-def _metrics_row(result: CampaignResult) -> list:
-    return [getattr(result.metrics, name) for name in _METRIC_COLUMNS]
+def _metrics_row(feedback: PeriodFeedback) -> list:
+    """A campaign's reported counters.  ``ppc`` is cost per conversion and
+    is absent (None) until the first conversion lands."""
+    conv = feedback.conversions
+    return [feedback.impressions, feedback.clicks, conv, feedback.cost,
+            feedback.cost / conv if conv else None]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +352,7 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, Path]:
     trace_rows: list[list] = []
     condition = _Condition(None, spec.sim.dropout_p, spec.controllers)
     for _, trial, cspec, result in _cells(spec, [condition]):
-        metrics_rows.append([cspec.name, trial] + _metrics_row(result))
+        metrics_rows.append([cspec.name, trial] + _metrics_row(result.feedback))
         trace_rows.extend(_trace_rows(cspec.name, trial, result, spec.constraints))
     return _emit(spec, "run", "manifest.json", {
         "metrics": ("metrics.csv", ["controller", "trial", *_METRIC_COLUMNS], metrics_rows),
@@ -359,7 +364,8 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, Path]:
 
 def sweep_sparsity(spec: ExperimentSpec, p_list: Sequence[float]) -> dict[str, Path]:
     """Replay the experiment across dropout levels with repeated trials and
-    summarize conversions per (level, controller) with a 95% interval."""
+    summarize conversions per (level, controller) with a 95% interval.
+    Each level replaces ``spec.sim.dropout_p``."""
     with _fields_of("dropout levels"):
         p_list = [float(p) for p in p_list]
     if not p_list:
@@ -371,8 +377,9 @@ def sweep_sparsity(spec: ExperimentSpec, p_list: Sequence[float]) -> dict[str, P
     conv_by_cell: dict[tuple[_Condition, str], list[int]] = {}
     conditions = [_Condition(p, p, spec.controllers) for p in p_list]
     for cond, trial, cspec, result in _cells(spec, conditions):
-        conv_by_cell.setdefault((cond, cspec.name), []).append(result.metrics.conv)
-        raw_rows.append([cspec.name, cond.label, trial, result.records] + _metrics_row(result))
+        conv_by_cell.setdefault((cond, cspec.name), []).append(result.feedback.conversions)
+        raw_rows.append([cspec.name, cond.label, trial, result.records]
+                        + _metrics_row(result.feedback))
     summary_rows: list[list] = []
     for (cond, name), convs in conv_by_cell.items():
         conv = np.array(convs, dtype=float)
@@ -396,12 +403,15 @@ def run_ablation(spec: ExperimentSpec) -> dict[str, Path]:
     if len(spec.controllers) != 1 or spec.controllers[0].kind != "mlp":
         raise ConfigurationError("ablation requires exactly one mlp controller")
     base = spec.controllers[0]
+    if "feature_set" in base.params:
+        raise ConfigurationError("ablation sets the mlp's feature_set itself; "
+                                 "remove feature_set from its params")
     conditions = [
         _Condition(fs.value, spec.sim.dropout_p,
                    (replace(base, params={**base.params, "feature_set": fs.value}),))
         for fs in ABLATION_ORDER
     ]
-    rows = [[cond.label, trial] + _metrics_row(result)
+    rows = [[cond.label, trial] + _metrics_row(result.feedback)
             for cond, trial, _, result in _cells(spec, conditions)]
     return _emit(spec, "ablation", "ablation_manifest.json", {
         "ablation": ("ablation.csv", ["feature_set", "trial", *_METRIC_COLUMNS], rows),

@@ -214,16 +214,17 @@ def test_04_budget_safety_over_random_campaigns():
         else:
             controller = MlpBidController(constraints, MlpControllerConfig(rng_seed=i))
         result = run_campaign(log, controller, constraints, sim)
-        assert result.metrics.cost <= budget + max_price(log), f"campaign {i} overspent"
+        assert result.feedback.cost <= budget + max_price(log), f"campaign {i} overspent"
         if result.terminated:
-            assert result.metrics.cost >= budget
+            assert result.feedback.cost >= budget
         checked += 1
         if i % 20 == 0:
             # independent recount from the traced per-period adjustments
             filtered = apply_dropout(log, p, sim.dropout_seed)
-            m = result.metrics
+            m = result.feedback
             got = _trace_replay(filtered, result.trace, ppc_e, budget, 200)
-            assert got == (m.imp, m.clk, m.conv, m.cost), f"campaign {i} recount mismatch"
+            assert got == (m.impressions, m.clicks, m.conversions, m.cost), \
+                f"campaign {i} recount mismatch"
             recounted += 1
     elapsed = time.perf_counter() - t0
     report(4, checked == 1000 and elapsed < 120,
@@ -261,8 +262,9 @@ def test_05_brute_force_replay_equivalence():
                 imp += 1
                 clk += int(r.click)
                 conv += int(r.conversion)
-        m = result.metrics
-        assert (m.imp, m.clk, m.conv, m.cost) == (imp, clk, conv, spent), f"log {i}"
+        m = result.feedback
+        assert (m.impressions, m.clicks, m.conversions, m.cost) == (imp, clk, conv, spent), \
+            f"log {i}"
     elapsed = time.perf_counter() - t0
     report(5, elapsed < 30, "vectorized campaign equals naive record-at-a-time replay",
            f"(50 random 1000-record logs, metric-exact, {elapsed:.1f}s)")
@@ -311,7 +313,7 @@ def test_07_conversion_ordering_against_pid():
                                                  MlpControllerConfig(rng_seed=seed)),
                            constraints, sim)
         pid = run_campaign(log, PidController(constraints), constraints, sim)
-        at_least += mlp.metrics.conv >= pid.metrics.conv
+        at_least += mlp.feedback.conversions >= pid.feedback.conversions
     elapsed = time.perf_counter() - t0
     report(7, at_least >= 14 and elapsed < 300,
            "tight-budget conversions: adaptive controller >= PID in >=70% of seeds",

@@ -175,14 +175,14 @@ class TestRunCampaign:
     def test_empty_log(self):
         result = run_campaign(make_log([]), FixedBidController(1.0), CONSTRAINTS,
                               SimConfig(budget=1000))
-        assert result.metrics.imp == 0 and result.metrics.cost == 0
+        assert result.feedback.impressions == 0 and result.feedback.cost == 0
         assert result.trace == ()
         assert not result.terminated
 
     def test_zero_budget_terminates_immediately(self):
         log = make_log([(i, 0.1, 0.1, 5, 1, 1) for i in range(10)])
         result = run_campaign(log, FixedBidController(1.0), CONSTRAINTS, SimConfig(budget=0))
-        assert result.metrics.cost == 0 and result.metrics.imp == 0
+        assert result.feedback.cost == 0 and result.feedback.impressions == 0
         assert result.terminated
         assert len(result.trace) == 1
 
@@ -192,8 +192,8 @@ class TestRunCampaign:
         result = run_campaign(log, FixedBidController(1.0), CONSTRAINTS,
                               SimConfig(budget=10**9, period_bids=3))
         imp, clk, conv, spent = naive_replay(records(log), 1.0, 1800, 10**9)
-        m = result.metrics
-        assert (m.imp, m.clk, m.conv, m.cost) == (imp, clk, conv, spent)
+        m = result.feedback
+        assert (m.impressions, m.clicks, m.conversions, m.cost) == (imp, clk, conv, spent)
 
     def test_trace_cumulative_counters_match_metrics(self):
         rng = np.random.default_rng(29)
@@ -201,8 +201,7 @@ class TestRunCampaign:
         result = run_campaign(log, FixedBidController(0.8), CONSTRAINTS,
                               SimConfig(budget=50_000, period_bids=100))
         last = result.trace[-1].feedback
-        assert last.conversions == result.metrics.conv
-        assert last.cost == result.metrics.cost
+        assert result.feedback == last
         convs = [t.feedback.conversions for t in result.trace]
         costs = [t.feedback.cost for t in result.trace]
         assert convs == sorted(convs) and costs == sorted(costs)
@@ -247,9 +246,9 @@ class TestBudgetSafety:
             u = float(rng.uniform(0.1, 2.0))
             result = run_campaign(log, FixedBidController(u), CONSTRAINTS,
                                   SimConfig(budget=budget, period_bids=64))
-            assert result.metrics.cost <= budget + max_price(log)
+            assert result.feedback.cost <= budget + max_price(log)
             if result.terminated:
-                assert result.metrics.cost >= budget
+                assert result.feedback.cost >= budget
 
     def test_cost_is_exact_sum_of_winning_prices(self):
         rng = np.random.default_rng(41)
@@ -258,8 +257,8 @@ class TestBudgetSafety:
         result = run_campaign(log, FixedBidController(1.0), CONSTRAINTS,
                               SimConfig(budget=budget, period_bids=128))
         imp, clk, conv, spent = naive_replay(records(log), 1.0, 1800, budget)
-        assert result.metrics.cost == spent
-        assert result.metrics.imp == imp
+        assert result.feedback.cost == spent
+        assert result.feedback.impressions == imp
 
 
 def test_win_set_monotone_in_u():
@@ -419,7 +418,7 @@ class TestControllerWiring:
         config = MlpControllerConfig(rng_seed=2, budget_error_mode=BudgetErrorMode.PACED)
         result = run_campaign(log, MlpBidController(constraints, config), constraints,
                               SimConfig(budget=40_000, period_bids=200))
-        assert result.metrics.cost <= 40_000 + max_price(log)
+        assert result.feedback.cost <= 40_000 + max_price(log)
         assert all(0.0 < t.u < 1.0 for t in result.trace)
 
 

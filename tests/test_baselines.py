@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rtblab import (
@@ -52,9 +52,10 @@ class TestPid:
             expected.append(min(max(0.6 * math.exp(-phi), 0.01), 2.0))
         assert got == pytest.approx(expected, rel=1e-12)
 
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
-    def test_output_and_integral_stay_clamped(self, errors):
-        cfg = PidConfig()
+    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50), st.just(PidConfig()))
+    # gains so large that phi is inf - inf in the second step, which used to bid NaN
+    @example([200.0, 100.0], PidConfig(kp=1e308, kd=1e308))
+    def test_output_and_integral_stay_clamped(self, errors, cfg):
         c = pid(cfg)
         for e in errors:
             u = c.step(e)

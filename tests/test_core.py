@@ -8,30 +8,9 @@ from rtblab import (
     KpiConstraint,
     KpiKind,
     PeriodFeedback,
-    compute_metrics,
     feedback_value,
 )
 from support import BidRecord, adjusted_ecpm, feedback
-
-
-class TestComputeMetrics:
-    def test_empty_campaign_has_no_ppc(self):
-        m = compute_metrics(PeriodFeedback())
-        assert (m.imp, m.clk, m.conv, m.cost) == (0, 0, 0, 0)
-        assert m.ppc is None
-
-    def test_ppc_is_cost_per_conversion(self):
-        m = compute_metrics(feedback(imp=295, clk=142, conv=33, cost=25963))
-        assert m.ppc == pytest.approx(786.76, abs=0.01)
-
-    def test_single_conversion(self):
-        m = compute_metrics(feedback(conv=1, cost=1800))
-        assert m.ppc == 1800
-
-    @given(conv=st.integers(1, 10_000), cost=st.integers(0, 10**9))
-    def test_ppc_reconstruction(self, conv, cost):
-        m = compute_metrics(feedback(conv=conv, cost=cost))
-        assert abs(m.ppc * conv - cost) <= 1
 
 
 class TestFeedbackValue:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -11,6 +12,8 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rtblab import (
     BidLog,
@@ -24,6 +27,7 @@ from rtblab import (
     KpiKind,
     MlpBidController,
     MlpControllerConfig,
+    PeriodFeedback,
     PidConfig,
     SimConfig,
     SynthConfig,
@@ -37,8 +41,8 @@ from rtblab import (
 from rtblab.auction import PeriodMode, _kept_indices
 from rtblab import cli
 from rtblab.cli import build_parser, main
-from rtblab.harness import derive_seed, spec_from_dict, spec_to_dict
-from support import naive_replay, records
+from rtblab.harness import _metrics_row, derive_seed, spec_from_dict, spec_to_dict
+from support import feedback, naive_replay, records
 
 CONSTRAINTS = ConstraintSet.single_ppc(1800)
 # The acceptance suite's dense environment, where the controllers have authority.
@@ -126,6 +130,23 @@ class TestRunExperiment:
         assert len(rows) == 4
         assert len(imps) > 1  # each trial sees its own dropout mask
 
+    def test_metrics_counters_equal_last_trace_row(self, tmp_path):
+        # both tables are written from the same cumulative counters
+        controllers = (ControllerSpec(kind="mlp"), ControllerSpec(kind="pid"),
+                       ControllerSpec(kind="fixed"))
+        spec = small_spec(tmp_path / "out", controllers, trials=3,
+                          sim=SimConfig(budget=50_000, period_bids=100, dropout_p=0.3))
+        paths = run_experiment(spec)
+        with open(paths["metrics"], encoding="utf-8", newline="") as fh:
+            metrics = list(csv.DictReader(fh))
+        with open(paths["trace"], encoding="utf-8", newline="") as fh:
+            last = {(row["controller"], row["trial"]): row for row in csv.DictReader(fh)}
+        assert len(metrics) == len(last) == 9
+        assert any(int(row["conv"]) for row in metrics)
+        for row in metrics:
+            final = last[row["controller"], row["trial"]]
+            assert (row["conv"], row["cost"]) == (final["conv"], final["cost"])
+
     def test_trace_has_error_columns(self, tmp_path):
         spec = small_spec(tmp_path / "out", (ControllerSpec(kind="mlp"),),
                           constraints=ConstraintSet.ppc_and_budget(1800, 100_000))
@@ -136,6 +157,28 @@ class TestRunExperiment:
         first = lines[1].split(",")
         assert first[0] == "mlp" and first[2] == "0"
         float(first[3]); float(first[4]); float(first[5]); float(first[6])
+
+
+class TestMetricsRow:
+    """The ``imp, clk, conv, cost, ppc`` columns a campaign's counters write."""
+
+    def test_empty_campaign_has_no_ppc(self):
+        imp, clk, conv, cost, ppc = _metrics_row(PeriodFeedback())
+        assert (imp, clk, conv, cost) == (0, 0, 0, 0)
+        assert ppc is None
+
+    def test_ppc_is_cost_per_conversion(self):
+        ppc = _metrics_row(feedback(imp=295, clk=142, conv=33, cost=25963))[4]
+        assert ppc == pytest.approx(786.76, abs=0.01)
+
+    def test_single_conversion(self):
+        ppc = _metrics_row(feedback(conv=1, cost=1800))[4]
+        assert ppc == 1800
+
+    @given(conv=st.integers(1, 10_000), cost=st.integers(0, 10**9))
+    def test_ppc_reconstruction(self, conv, cost):
+        ppc = _metrics_row(feedback(conv=conv, cost=cost))[4]
+        assert abs(ppc * conv - cost) <= 1
 
 
 class TestSweep:
@@ -348,9 +391,9 @@ class TestAblation:
                                      rng_seed=derive_seed(0, 0, 0))
         result = run_campaign(log, MlpBidController(CONSTRAINTS, config),
                               CONSTRAINTS, spec.sim)
-        assert int(none_row[2]) == result.metrics.imp
-        assert int(none_row[4]) == result.metrics.conv
-        assert int(none_row[5]) == result.metrics.cost
+        assert int(none_row[2]) == result.feedback.impressions
+        assert int(none_row[4]) == result.feedback.conversions
+        assert int(none_row[5]) == result.feedback.cost
 
     def test_deterministic_rerun(self, tmp_path):
         spec_a = small_spec(tmp_path / "a", (ControllerSpec(kind="mlp"),))
@@ -555,6 +598,20 @@ class TestCli:
          "config controller 0: controller name must be a string, got 7"),
         ("run", {**VALID_CONFIG, "controllers": [{"kind": "fixed", "name": "a\rb"}]},
          "config controller 0: controller name 'a\\rb' holds a carriage return"),
+        ("run", {**VALID_CONFIG, "sim": {"budget": 50_000, "period_ms": 5000}},
+         "config section 'sim': period_ms is unused in count mode; leave it at its default 900000"),
+        ("run", {**VALID_CONFIG, "sim": {"budget": 50_000, "period_mode": "wall_clock",
+                                         "period_ms": 5000, "period_bids": 7}},
+         "config section 'sim': period_bids is unused in wall_clock mode; "
+         "leave it at its default 1000"),
+        ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp",
+                                                  "params": {"budget_error_mode": "paced"}}]},
+         "budget_error_mode 'paced' needs a budget constraint to pace"),
+        ("ablation", {**VALID_CONFIG, "controllers": [{"kind": "mlp",
+                                                       "params": {"feature_set": "full"}}]},
+         "ablation sets the mlp's feature_set itself; remove feature_set from its params"),
+        ("sweep-sparsity", {**VALID_CONFIG, "sim": {"budget": 50_000, "dropout_p": 0.7}},
+         "a sweep's dropout levels replace sim.dropout_p (--dropout)"),
     ], ids=["p_list-not-list", "top-level-not-object", "log-not-object", "sim-not-object",
             "log-missing", "budget-not-int", "controllers-not-list", "trials-not-int",
             "unknown-synthetic-key", "unknown-controller-param", "unknown-kpi-kind",
@@ -566,7 +623,9 @@ class TestCli:
             "unknown-manifest-key", "nonzero-dropout-seed", "p_list-bool-and-string",
             "p_list-empty", "p_list-given-to-run", "p_list-in-run-manifest",
             "p_list-inside-manifest-spec", "rng-seed-negative", "grad-window-huge-int",
-            "u-init-zero", "name-not-string", "name-with-carriage-return"])
+            "u-init-zero", "name-not-string", "name-with-carriage-return",
+            "period-ms-in-count-mode", "period-bids-in-wall-clock-mode", "paced-without-budget",
+            "feature-set-in-ablation", "dropout-in-sweep"])
     def test_config_of_wrong_shape_is_one_line_error(self, tmp_path, monkeypatch, capsys,
                                                      command, doc, message):
         monkeypatch.chdir(tmp_path)
@@ -677,6 +736,16 @@ class TestCli:
         assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
         assert f"{flag[0]} cannot be given with --config" in err
         assert not (tmp_path / "given").exists() and not (tmp_path / "out").exists()
+
+    def test_sweep_dropout_flag_is_one_line_error(self, tmp_path, capsys):
+        # the levels replace --dropout, which used to be ignored without a word
+        rc = main(["sweep-sparsity", "--synthetic", "400", "--budget", "50000",
+                   "--ppc-target", "1800", "--dropout", "0.7", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError: ") and err.count("\n") == 1
+        assert "replace sim.dropout_p (--dropout)" in err
+        assert not (tmp_path / "out").exists()
 
     def test_period_bids_with_period_ms_is_one_line_error(self, tmp_path, capsys):
         rc = main(["run", "--synthetic", "400", "--budget", "50000", "--ppc-target", "1800",
@@ -893,7 +962,19 @@ def test_readme_library_example_runs(tmp_path):
                           timeout=120, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("CampaignMetrics(")
+    assert len(lines) == 1 and lines[0].startswith("PeriodFeedback(")
+
+
+def test_all_names_exactly_the_public_bindings():
+    # a name dropped from the imports must leave __all__ too, and the reverse
+    import rtblab
+    bound = set()
+    for node in ast.parse(Path(rtblab.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+    assert sorted(rtblab.__all__) == sorted(name for name in bound if not name.startswith("_"))
 
 
 def readme_cli_commands() -> list[list[str]]:
