@@ -19,7 +19,6 @@ from .baselines import FixedBidController, PidConfig, PidController
 from .controller import (
     BudgetErrorMode,
     FeatureSet,
-    InsufficientHistory,
     MlpBidController,
     MlpControllerConfig,
 )
@@ -58,7 +57,7 @@ __all__ = [
     "BidLog", "BudgetErrorMode", "CampaignResult",
     "ColumnMap", "ConfigurationError", "ConstraintSet", "ControllerSpec",
     "ExperimentSpec", "FeatureSet", "FixedBidController",
-    "InsufficientHistory", "KpiConstraint", "KpiKind", "LabelViolation",
+    "KpiConstraint", "KpiKind", "LabelViolation",
     "LogFormatError", "MalformedRow", "MlpBidController", "MlpControllerConfig",
     "NonMonotonicTimestamp", "PeriodFeedback", "PeriodMode", "PeriodTrace", "PidConfig",
     "PidController", "SimConfig", "SynthConfig", "apply_dropout",

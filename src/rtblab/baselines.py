@@ -29,6 +29,11 @@ class PidConfig:
         if not 0 < self.integral_clamp < math.inf:
             raise ConfigurationError("integral_clamp must be positive and finite")
 
+    def check_constraints(self, constraints: ConstraintSet) -> None:
+        """Reject constraints without the PPC target the PID tracks."""
+        if constraints.find(KpiKind.PPC_TARGET) is None:
+            raise ConfigurationError("PID controller needs a PPC_TARGET constraint to track")
+
 
 class PidController:
     """PID on the normalized PPC error with an exponential actuator.
@@ -44,10 +49,8 @@ class PidController:
 
     def __init__(self, constraints: ConstraintSet, config: PidConfig | None = None):
         self.config = config if config is not None else PidConfig()
-        ppc = constraints.find(KpiKind.PPC_TARGET)
-        if ppc is None:
-            raise ConfigurationError("PID controller needs a PPC_TARGET constraint to track")
-        self._ppc = ppc
+        self.config.check_constraints(constraints)
+        self._ppc = constraints.find(KpiKind.PPC_TARGET)
         self.integral = 0.0
         self.prev_error = 0.0
 
@@ -82,6 +85,9 @@ class FixedBidController:
     def __post_init__(self) -> None:
         if not 0 < self.u_const < math.inf:
             raise ConfigurationError(f"u_const must be positive and finite, got {self.u_const}")
+
+    def check_constraints(self, constraints: ConstraintSet) -> None:
+        """Any constraints do: the multiplier ignores them."""
 
     def begin_period(self, feedback: PeriodFeedback) -> float:
         return self.u_const

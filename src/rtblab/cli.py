@@ -25,6 +25,7 @@ from .data import (
 from .harness import (
     CONTROLLER_KINDS,
     PRESETS,
+    SWEEP_TRIALS,
     ExperimentSpec,
     levels_from_dict,
     run_ablation,
@@ -45,10 +46,8 @@ _SYNTH_FLAGS = (("--ctr", "ctr_true", "true click rate"),
                 ("--seed", "seed", "generator seed"))
 
 
-def _add_spec_flags(p: argparse.ArgumentParser, default_trials: int | None = None) -> None:
-    """The spec flags; ``default_trials``, if given, replaces the spec's
-    default number of trials when the flags build the spec."""
-    p.set_defaults(default_trials=default_trials)
+def _add_spec_flags(p: argparse.ArgumentParser, trials: int = ExperimentSpec.trials) -> None:
+    """The spec flags; ``trials`` is the command's default number of trials."""
     p.add_argument("--config", help="JSON experiment config or a previously written manifest; "
                                     "only --out, --trials and --p-list may be given with it")
     p.add_argument("--log", help="canonical bid-log CSV to replay")
@@ -74,7 +73,7 @@ def _add_spec_flags(p: argparse.ArgumentParser, default_trials: int | None = Non
     p.add_argument("--dropout", type=float,
                    help="probability of dropping each record (default 0)")
     p.add_argument("--trials", type=int,
-                   help=f"repeated trials (default {default_trials or ExperimentSpec.trials})")
+                   help=f"repeated trials (default {trials})")
     p.add_argument("--seed", type=int, help="base seed (default 0)")
     p.add_argument("--out", help="output directory (default ./out)")
 
@@ -109,7 +108,6 @@ def _flags_doc(args: argparse.Namespace) -> dict:
                    dropout_p=args.dropout),
         controllers=[{"kind": kind} for kind in args.controller or ["mlp"]],
         constraints={"ppc_expected": ppc_expected, "kpis": kpis},
-        trials=args.default_trials,
         base_seed=args.seed,
     )
 
@@ -141,8 +139,10 @@ def _load_doc(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _build_spec(args: argparse.Namespace, doc: dict) -> ExperimentSpec:
-    return replace(spec_from_dict(doc), **_given(out_dir=args.out, trials=args.trials))
+def _build_spec(args: argparse.Namespace, doc: dict,
+                trials: int = ExperimentSpec.trials) -> ExperimentSpec:
+    """The spec of ``doc`` (``trials`` if it names none), then --out and --trials."""
+    return replace(spec_from_dict(doc, trials), **_given(out_dir=args.out, trials=args.trials))
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -157,8 +157,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     doc.pop("p_list", None)  # the sweep's own key, which spec_from_dict rejects
     if args.p_list is not None:
         p_list = [tok for tok in args.p_list.split(",") if tok]
-    spec = _build_spec(args, doc)
-    if spec.sim.dropout_p != 0.0:
+    spec = _build_spec(args, doc, SWEEP_TRIALS)
+    if spec.sim.dropout_p != 0.0 and "spec" not in doc:  # a manifest re-runs as written
         raise ConfigurationError("a sweep's dropout levels replace sim.dropout_p (--dropout); "
                                  "leave it at 0 and list the levels in p_list (--p-list)")
     paths = sweep_sparsity(spec, p_list)
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_experiment, driver=run_experiment)
 
     p_sweep = sub.add_parser("sweep-sparsity", help="dropout sweep with repeated trials")
-    _add_spec_flags(p_sweep, default_trials=100)
+    _add_spec_flags(p_sweep, SWEEP_TRIALS)
     p_sweep.add_argument("--p-list",
                          help="comma-separated dropout levels "
                               "(default 0.1..0.9, or the list in the config/manifest)")

@@ -35,10 +35,6 @@ from .core import (
 )
 
 
-class InsufficientHistory(RuntimeError):
-    """Backward pass requested before a previous period exists."""
-
-
 class FeatureSet(Enum):
     """Which extra rate features the input vector carries."""
 
@@ -84,6 +80,12 @@ class MlpControllerConfig:
             raise ConfigurationError("u_max must be positive and finite")
         if self.rng_seed < 0:
             raise ConfigurationError(f"rng_seed must be >= 0, got {self.rng_seed}")
+
+    def check_constraints(self, constraints: ConstraintSet) -> None:
+        """Reject constraints a controller of this config cannot be driven by."""
+        if (self.budget_error_mode is BudgetErrorMode.PACED
+                and constraints.find(KpiKind.BUDGET) is None):
+            raise ConfigurationError("budget_error_mode 'paced' needs a budget constraint to pace")
 
 
 @dataclass(frozen=True)
@@ -207,9 +209,7 @@ class MlpBidController:
         adjustments sit near u_max/2 but differ period to period, which is
         what lets the sign-based slope estimates pick up a direction at all."""
         self.config = config = config if config is not None else MlpControllerConfig()
-        paced = config.budget_error_mode is BudgetErrorMode.PACED
-        if paced and constraints.find(KpiKind.BUDGET) is None:
-            raise ConfigurationError("budget_error_mode 'paced' needs a budget constraint to pace")
+        config.check_constraints(constraints)
         self.constraints = constraints
         dim = input_dim(len(constraints.constraints), config.feature_set)
         rng = np.random.default_rng(config.rng_seed)
@@ -240,7 +240,7 @@ class MlpBidController:
         return h, u
 
     def backward(self, feedback: PeriodFeedback, period: PeriodFeedback,
-                 elapsed_fraction: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+                 elapsed_fraction: float = 1.0) -> tuple[np.ndarray, np.ndarray] | None:
         """Assemble the approximated gradients for both layers and log them.
 
         ``feedback`` is the cumulative feedback after the period just run and
@@ -248,16 +248,18 @@ class MlpBidController:
         cumulative achieved values; the environment slope sign correlates each
         period's own response with the adjustment delta, since it is the
         per-period response that actually reacts to the current adjustment.
-        Stores this period's response as ``resp_prev``.
+        Swaps this period's response into ``resp_prev``; with none before it
+        (the first period) it returns None and logs no gradient.
         """
-        if self.resp_prev is None:
-            raise InsufficientHistory("no previous period to difference against")
         constraints, config = self.constraints, self.config
-        xhat = normalized_feedback(constraints, feedback)
         resp = normalized_feedback(constraints, period)
+        resp_prev, self.resp_prev = self.resp_prev, resp
+        if resp_prev is None:
+            return None
+        xhat = normalized_feedback(constraints, feedback)
         zhat = reference_vector(constraints, elapsed_fraction, config.budget_error_mode)
         chain = partial_j2(config.control_weight, self.u_curr, self.u_prev)
-        for c, x, z, r, r_prev in zip(constraints.constraints, xhat, zhat, resp, self.resp_prev):
+        for c, x, z, r, r_prev in zip(constraints.constraints, xhat, zhat, resp, resp_prev):
             slope = approx_dxdu(r, r_prev, self.u_curr, self.u_prev)
             chain += partial_j1(c.error_weight, x, z) * slope
         du_dh, du_dwd = sigmoid_layer_grads(self.w_dec, self.h_curr, config.u_max)
@@ -266,7 +268,6 @@ class MlpBidController:
         g_enc = chain * np.multiply.outer(du_dh, dh_dwe)
         self.grad_log_enc.append(g_enc)
         self.grad_log_dec.append(g_dec)
-        self.resp_prev = resp
         return g_enc, g_dec
 
     def apply_update(self) -> UpdateResult:
@@ -287,10 +288,7 @@ class MlpBidController:
 
     def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
                    elapsed_fraction: float = 1.0) -> None:
-        """Learn from the period just run; the very first period only stores
-        its response."""
-        if self.resp_prev is None:
-            self.resp_prev = normalized_feedback(self.constraints, period)
-        else:
-            self.backward(feedback, period, elapsed_fraction)
-            self.apply_update()
+        """Learn from the period just run.  The first period logs no
+        gradient, so its update leaves both matrices as they are."""
+        self.backward(feedback, period, elapsed_fraction)
+        self.apply_update()

@@ -3,7 +3,8 @@
 The canonical log is a UTF-8 comma-delimited file with header
 ``ts,pctr,pcvr,market_price,click,conversion``: integer millisecond
 timestamps (nondecreasing), probabilities with up to six fraction digits,
-integer fen prices, 0/1 labels.  ``BidLog.from_csv`` reads a log
+integer fen prices, 0/1 labels, each field ASCII with no ``_``
+separators.  ``BidLog.from_csv`` reads a log
 columnar, with numpy's C reader and whole-column checks, so its memory is
 proportional to the row count; ``parse_canonical`` is the streaming
 (constant-memory) parser and the error oracle: it yields each row as a
@@ -56,6 +57,9 @@ class LabelViolation(LogFormatError):
 def _parse_row(fields: Sequence[str], line_no: int, last_ts: int | None) -> tuple:
     if len(fields) != 6:
         raise MalformedRow(line_no, f"expected 6 fields, got {len(fields)}")
+    for text in fields:  # int() and float() also read '_' separators and non-ASCII digits
+        if not text.isascii() or "_" in text:
+            raise MalformedRow(line_no, f"unparseable field {text!r}: not ASCII, or holds '_'")
     try:
         ts = int(fields[0])
         pctr = float(fields[1])

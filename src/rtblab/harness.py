@@ -28,6 +28,9 @@ from .data import BidLog, SynthConfig, generate_synthetic
 _CONTROLLER_CONFIGS = {"mlp": MlpControllerConfig, "pid": PidConfig, "fixed": FixedBidController}
 CONTROLLER_KINDS = tuple(_CONTROLLER_CONFIGS)
 
+# A sweep's trials per level when its config or manifest names none
+SWEEP_TRIALS = 100
+
 # Reference benchmark presets (budget fen, expected PPC fen)
 PRESETS = {
     "adequate": {"budget": 182_344, "ppc": 1800},
@@ -106,6 +109,9 @@ class ExperimentSpec:
         if self.sim.dropout_seed != 0:
             raise ConfigurationError("sim.dropout_seed must be 0: the dropout mask of each trial "
                                      "is seeded by (base_seed, trial); change base_seed instead")
+        for c in self.controllers:
+            with _fields_of(f"controller {c.name!r}"):
+                c.config.check_constraints(self.constraints)
 
 
 def build_controller(cspec: ControllerSpec, constraints: ConstraintSet, seed: int):
@@ -298,9 +304,10 @@ def synth_from_dict(d: Mapping, where: str) -> SynthConfig:
         return _read(SynthConfig, d)
 
 
-def spec_from_dict(d: Mapping) -> ExperimentSpec:
+def spec_from_dict(d: Mapping, trials: int = ExperimentSpec.trials) -> ExperimentSpec:
     """The spec of a config document or a manifest.  A field that is left
-    out takes the default of the dataclass that holds it."""
+    out takes the default of the dataclass that holds it, and ``trials``
+    the given one."""
     if "spec" in d:  # accept a manifest as a config
         with _fields_of("manifest"):
             _known(d, ("command", "spec"))
@@ -327,6 +334,7 @@ def spec_from_dict(d: Mapping) -> ExperimentSpec:
         constraints = ConstraintSet(kpis, _as(int, "ppc_expected", cons["ppc_expected"]))
     with _fields_of("config"):
         given = {key: _as(int, key, d[key]) for key in ("trials", "base_seed") if key in d}
+    given.setdefault("trials", trials)
     if "out_dir" in d:
         given["out_dir"] = d["out_dir"]
     return ExperimentSpec(tuple(controllers), constraints, sim, log.get("path"), synth, **given)

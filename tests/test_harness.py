@@ -469,6 +469,46 @@ class TestCli:
         assert rc == 0
         assert out.read_text().splitlines()[1] == "10,0.01,0.02,70,0,0"
 
+    # int() and float() read each of these; numpy's columnar reader reads none
+    FIELD_TEXTS = pytest.mark.parametrize("column, text", [
+        (0, "1_000"), (3, "1_0"), (1, "0.1_0"), (4, "\u0661"), (5, "\uff11"),
+    ], ids=["ts-underscores", "price-underscore", "pctr-underscore", "arabic-indic-digit",
+            "fullwidth-digit"])
+
+    @staticmethod
+    def rows_with(column: int, text: str, delimiter: str) -> str:
+        """Two log rows, the second with ``text`` in ``column``."""
+        rows = [["10", "0.01", "0.02", "70", "0", "0"], ["20", "0.03", "0.04", "80", "1", "1"]]
+        rows[1][column] = text
+        return "".join(delimiter.join(row) + "\n" for row in rows)
+
+    @FIELD_TEXTS
+    def test_run_rejects_log_field_the_columnar_reader_rejects(self, tmp_path, capsys,
+                                                               column, text):
+        # such a file used to load through the streaming fallback and run
+        log = tmp_path / "log.csv"
+        log.write_text("ts,pctr,pcvr,market_price,click,conversion\n"
+                       + self.rows_with(column, text, ","), encoding="utf-8")
+        rc = main(["run", "--log", str(log), "--budget", "50000", "--ppc-target", "1800",
+                   "--controller", "fixed", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: MalformedRow: line 3: unparseable field "
+                                           f"{text!r}: not ASCII, or holds '_'\n")
+        assert not (tmp_path / "out").exists()
+
+    @FIELD_TEXTS
+    def test_convert_ipinyou_rejects_field_the_columnar_reader_rejects(self, tmp_path, capsys,
+                                                                       column, text):
+        # such a field used to be copied verbatim into the canonical file
+        raw = tmp_path / "raw.tsv"
+        raw.write_text(self.rows_with(column, text, "\t"), encoding="utf-8")
+        rc = main(["convert-ipinyou", "--in", str(raw), "--out", str(tmp_path / "log.csv"),
+                   "--col-ts", "0", "--col-pctr", "1", "--col-pcvr", "2",
+                   "--col-price", "3", "--col-click", "4", "--col-conversion", "5"])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: MalformedRow: line 2: unparseable field "
+                                           f"{text!r}: not ASCII, or holds '_'\n")
+
     def test_convert_ipinyou_empty_delimiter_is_one_line_error(self, tmp_path, capsys):
         # used to end in a ValueError: empty separator traceback
         raw = tmp_path / "raw.tsv"
@@ -606,7 +646,16 @@ class TestCli:
          "leave it at its default 1000"),
         ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp",
                                                   "params": {"budget_error_mode": "paced"}}]},
-         "budget_error_mode 'paced' needs a budget constraint to pace"),
+         "controller 'mlp': budget_error_mode 'paced' needs a budget constraint to pace"),
+        # checked when the spec is built, so before a log that is not there
+        ("run", {**VALID_CONFIG, "log": {"path": "missing.csv"},
+                 "controllers": [{"kind": "mlp", "params": {"budget_error_mode": "paced"}}]},
+         "controller 'mlp': budget_error_mode 'paced' needs a budget constraint to pace"),
+        ("run", {**VALID_CONFIG, "log": {"path": "missing.csv"},
+                 "controllers": [{"kind": "pid", "name": "tracker"}],
+                 "constraints": {"ppc_expected": 1800,
+                                 "kpis": [{"kind": "budget", "target": 50_000}]}},
+         "controller 'tracker': PID controller needs a PPC_TARGET constraint to track"),
         ("ablation", {**VALID_CONFIG, "controllers": [{"kind": "mlp",
                                                        "params": {"feature_set": "full"}}]},
          "ablation sets the mlp's feature_set itself; remove feature_set from its params"),
@@ -625,6 +674,7 @@ class TestCli:
             "p_list-inside-manifest-spec", "rng-seed-negative", "grad-window-huge-int",
             "u-init-zero", "name-not-string", "name-with-carriage-return",
             "period-ms-in-count-mode", "period-bids-in-wall-clock-mode", "paced-without-budget",
+            "paced-without-budget-missing-log", "pid-without-ppc-target-missing-log",
             "feature-set-in-ablation", "dropout-in-sweep"])
     def test_config_of_wrong_shape_is_one_line_error(self, tmp_path, monkeypatch, capsys,
                                                      command, doc, message):
@@ -878,20 +928,41 @@ class TestCli:
         assert (tmp_path / "out" / "manifest.json").exists()
 
     def test_manifest_reruns_byte_identical(self, tmp_path):
-        spec = small_spec(tmp_path / "a", (ControllerSpec(kind="mlp"),))
-        paths = run_experiment(spec)
-        rc = main(["run", "--config", str(paths["manifest"]), "--out", str(tmp_path / "b")])
-        assert rc == 0
-        assert read(paths["metrics"]) == read(tmp_path / "b" / "metrics.csv")
+        for dropout_p in (0.0, 0.3):
+            a, b = tmp_path / f"a{dropout_p}", tmp_path / f"b{dropout_p}"
+            spec = small_spec(a, (ControllerSpec(kind="mlp"),),
+                              sim=SimConfig(budget=100_000, period_bids=100, dropout_p=dropout_p))
+            paths = run_experiment(spec)
+            rc = main(["run", "--config", str(paths["manifest"]), "--out", str(b)])
+            assert rc == 0
+            assert read(paths["metrics"]) == read(b / "metrics.csv")
+            assert read(paths["trace"]) == read(b / "trace.csv")
 
     def test_sweep_manifest_rerun_restores_p_list(self, tmp_path):
-        spec = small_spec(tmp_path / "a", (ControllerSpec(kind="mlp"),), trials=2)
-        paths = sweep_sparsity(spec, [0.25, 0.75])
-        rc = main(["sweep-sparsity", "--config", str(paths["manifest"]),
-                   "--out", str(tmp_path / "b")])
-        assert rc == 0
-        assert read(paths["sweep"]) == read(tmp_path / "b" / "sweep.csv")
-        assert read(paths["trials"]) == read(tmp_path / "b" / "sweep_trials.csv")
+        # a library sweep of a spec with sim.dropout_p 0.3 (its levels replace
+        # it) wrote a manifest whose re-run used to be refused
+        for dropout_p in (0.0, 0.3):
+            a, b = tmp_path / f"a{dropout_p}", tmp_path / f"b{dropout_p}"
+            spec = small_spec(a, (ControllerSpec(kind="mlp"),), trials=2,
+                              sim=SimConfig(budget=100_000, period_bids=100, dropout_p=dropout_p))
+            paths = sweep_sparsity(spec, [0.25, 0.75])
+            rc = main(["sweep-sparsity", "--config", str(paths["manifest"]), "--out", str(b)])
+            assert rc == 0
+            assert read(paths["sweep"]) == read(b / "sweep.csv")
+            assert read(paths["trials"]) == read(b / "sweep_trials.csv")
+
+    def test_config_sweep_without_trials_runs_the_sweep_default(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # it used to run the spec's default of 1 trial, while --help said 100
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**VALID_CONFIG, "p_list": [0.5]}))
+        assert main(["sweep-sparsity", "--config", str(config)]) == 0
+        assert len(read(tmp_path / "out" / "sweep_trials.csv").splitlines()) == 1 + 100
+        assert read(tmp_path / "out" / "sweep.csv").splitlines()[1].split(",")[2] == "100"
+        with pytest.raises(SystemExit):
+            main(["sweep-sparsity", "--help"])
+        assert "repeated trials (default 100)" in " ".join(capsys.readouterr().out.split())
 
     def test_sweep_cli(self, tmp_path):
         rc = main(["sweep-sparsity", "--synthetic", "400", "--budget", "50000",
