@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import replace
 
+from .auction import SimConfig
 from .core import ConfigurationError
 from .data import (
     ColumnMap,
@@ -53,12 +54,14 @@ def _add_spec_flags(p: argparse.ArgumentParser, trials: int = ExperimentSpec.tri
     p.add_argument("--log", help="canonical bid-log CSV to replay")
     p.add_argument("--synthetic", type=int, metavar="N",
                    help="generate an N-record synthetic log instead of reading one")
-    p.add_argument("--synth-seed", type=int, help="synthetic log seed (default 0)")
+    p.add_argument("--synth-seed", type=int,
+                   help=f"synthetic log seed (default {SynthConfig.seed})")
     p.add_argument("--controller", action="append", choices=CONTROLLER_KINDS,
                    help="controller to run; repeat the flag to compare several (default: mlp)")
     p.add_argument("--preset", choices=sorted(PRESETS),
-                   help="benchmark preset: adequate (budget 182344, PPC 1800) "
-                        "or tight (budget 22793, PPC 1800)")
+                   help="benchmark preset: " + " or ".join(
+                       f"{name} (budget {preset['budget']}, PPC {preset['ppc']})"
+                       for name, preset in sorted(PRESETS.items())))
     p.add_argument("--budget", type=int, help="campaign budget in fen")
     p.add_argument("--ppc-target", type=int, help="PPC constraint target in fen")
     p.add_argument("--ppc-expected", type=int,
@@ -66,15 +69,15 @@ def _add_spec_flags(p: argparse.ArgumentParser, trials: int = ExperimentSpec.tri
     p.add_argument("--multi", action="store_const", const=True,
                    help="track budget as a KPI as well as PPC (default: PPC only)")
     p.add_argument("--period-bids", type=int,
-                   help="opportunities per control period (default 1000)")
+                   help=f"opportunities per control period (default {SimConfig.period_bids})")
     p.add_argument("--period-ms", type=int, metavar="MS",
                    help="batch periods by wall-clock window of MS milliseconds "
                         "instead of by bid count (900000 for 15-minute periods)")
     p.add_argument("--dropout", type=float,
-                   help="probability of dropping each record (default 0)")
+                   help=f"probability of dropping each record (default {SimConfig.dropout_p})")
     p.add_argument("--trials", type=int,
                    help=f"repeated trials (default {trials})")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
+    p.add_argument("--seed", type=int, help=f"base seed (default {ExperimentSpec.base_seed})")
     p.add_argument("--out", help="output directory (default ./out)")
 
 
@@ -156,7 +159,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     p_list = levels_from_dict(doc)
     doc.pop("p_list", None)  # the sweep's own key, which spec_from_dict rejects
     if args.p_list is not None:
-        p_list = [tok for tok in args.p_list.split(",") if tok]
+        try:
+            p_list = [float(tok) for tok in args.p_list.split(",") if tok]
+        except ValueError as exc:
+            raise ConfigurationError(f"--p-list: {exc}") from None
     spec = _build_spec(args, doc, SWEEP_TRIALS)
     if spec.sim.dropout_p != 0.0 and "spec" not in doc:  # a manifest re-runs as written
         raise ConfigurationError("a sweep's dropout levels replace sim.dropout_p (--dropout); "

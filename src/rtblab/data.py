@@ -32,6 +32,8 @@ _CANONICAL_DTYPE = np.dtype([("ts", np.int64), ("pctr", np.float64), ("pcvr", np
                              ("conversion", np.int64)])
 _INT64 = np.iinfo(np.int64)
 _SERIALIZE_CHUNK_ROWS = 1 << 16
+_SCAN_CHUNK_BYTES = 1 << 20
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class LogFormatError(ValueError):
@@ -253,26 +255,33 @@ class BidLog:
         """Read a canonical log file; a file the columnar reader rejects is
         re-read by :func:`parse_canonical`, whose verdict (the log, or the
         first bad row's ``LogFormatError``) is returned."""
-        # surrogateescape: a byte that is not UTF-8 fails the field check of its line
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            log = cls._read_columns(fh)
-            if log is None:
-                fh.seek(0)
+        log = cls._read_columns(path)
+        if log is None:
+            # surrogateescape: a byte that is not UTF-8 fails the field check of its line
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
                 log = cls.from_records(parse_canonical(fh))
         return log
 
     @classmethod
-    def _read_columns(cls, fh) -> "BidLog | None":
+    def _read_columns(cls, path) -> "BidLog | None":
         """Parse and check a canonical log column-wise; None if any check fails."""
-        if fh.readline().rstrip("\r\n") != CANONICAL_HEADER:
-            return None
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                rows = np.loadtxt(fh, delimiter=",", dtype=_CANONICAL_DTYPE,
-                                  comments=None, ndmin=1)
-        except ValueError:
-            return None
+        # numpy strips whitespace from around a field, and to it the
+        # separators \x1c-\x1f and non-ASCII spaces are whitespace too
+        with open(path, "rb") as fh:
+            if any(sep in chunk for chunk in iter(lambda: fh.read(_SCAN_CHUNK_BYTES), b"")
+                   for sep in _SEPARATORS):
+                return None
+        with open(path, "r", encoding="ascii") as fh:
+            try:  # a byte that is not ASCII raises UnicodeDecodeError, a ValueError
+                if fh.readline().rstrip("\r\n") != CANONICAL_HEADER:
+                    return None
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                            UserWarning)
+                    rows = np.loadtxt(fh, delimiter=",", dtype=_CANONICAL_DTYPE,
+                                      comments=None, ndmin=1)
+            except ValueError:
+                return None
         ts, pctr, pcvr = rows["ts"], rows["pctr"], rows["pcvr"]
         price, click, conversion = rows["market_price"], rows["click"], rows["conversion"]
         # The predicates of _parse_row, column-wise; NaN fails the range test.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -135,16 +136,11 @@ def load_log(spec: ExperimentSpec) -> BidLog:
 # ---------------------------------------------------------------------------
 # The cell loop and its writer
 
-@dataclass(frozen=True, eq=False)  # by identity: a level listed twice is two conditions
-class _Condition:
-    label: object                      # the row label: None, a dropout level, a feature set
-    dropout_p: float
-    controllers: tuple[ControllerSpec, ...]
-
-
-def _cells(spec: ExperimentSpec, conditions: Sequence[_Condition]) -> Iterator[tuple]:
-    """Replay every cell and yield ``(condition, trial, cspec, result)`` in
-    condition -> trial -> controller order.
+def _cells(spec: ExperimentSpec,
+           conditions: Sequence[tuple[float, Sequence[ControllerSpec]]]) -> Iterator[tuple]:
+    """Replay every cell of the ``(dropout_p, controllers)`` conditions; yield
+    ``(position, trial, cspec, result)`` in condition -> trial -> controller
+    order, ``position`` being the condition's index in ``conditions``.
 
     The dropout mask of a trial is seeded by (base_seed, trial) alone, so
     all controllers of a trial, and all levels of a sweep, share its
@@ -154,14 +150,14 @@ def _cells(spec: ExperimentSpec, conditions: Sequence[_Condition]) -> Iterator[t
     of one (condition, trial) run back to back to share the cached mask.
     """
     log = load_log(spec)
-    for cond in conditions:
+    for position, (dropout_p, controllers) in enumerate(conditions):
         for trial in range(spec.trials):
-            sim = replace(spec.sim, dropout_p=cond.dropout_p,
+            sim = replace(spec.sim, dropout_p=dropout_p,
                           dropout_seed=derive_seed(spec.base_seed, trial))
-            for idx, cspec in enumerate(cond.controllers):
+            for idx, cspec in enumerate(controllers):
                 seed = derive_seed(cspec.params.get("rng_seed", spec.base_seed), trial, idx)
                 controller = build_controller(cspec, spec.constraints, seed)
-                yield cond, trial, cspec, run_campaign(log, controller, spec.constraints, sim)
+                yield position, trial, cspec, run_campaign(log, controller, spec.constraints, sim)
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -358,8 +354,7 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, Path]:
     traces, and the manifest."""
     metrics_rows: list[list] = []
     trace_rows: list[list] = []
-    condition = _Condition(None, spec.sim.dropout_p, spec.controllers)
-    for _, trial, cspec, result in _cells(spec, [condition]):
+    for _, trial, cspec, result in _cells(spec, [(spec.sim.dropout_p, spec.controllers)]):
         metrics_rows.append([cspec.name, trial] + _metrics_row(result.feedback))
         trace_rows.extend(_trace_rows(cspec.name, trial, result, spec.constraints))
     return _emit(spec, "run", "manifest.json", {
@@ -374,27 +369,28 @@ def sweep_sparsity(spec: ExperimentSpec, p_list: Sequence[float]) -> dict[str, P
     """Replay the experiment across dropout levels with repeated trials and
     summarize conversions per (level, controller) with a 95% interval.
     Each level replaces ``spec.sim.dropout_p``."""
-    with _fields_of("dropout levels"):
-        p_list = [float(p) for p in p_list]
+    for p in p_list:
+        if not isinstance(p, numbers.Real):  # the CLI reads --p-list's text; a level is a number
+            raise ConfigurationError(f"dropout level {p!r} is not a number")
+    p_list = [float(p) for p in p_list]
     if not p_list:
         raise ConfigurationError("a sweep needs at least one dropout level")
     for p in p_list:
         if not (0.0 <= p <= 1.0):
             raise ConfigurationError(f"dropout level {p} outside [0, 1]")
     raw_rows: list[list] = []
-    conv_by_cell: dict[tuple[_Condition, str], list[int]] = {}
-    conditions = [_Condition(p, p, spec.controllers) for p in p_list]
-    for cond, trial, cspec, result in _cells(spec, conditions):
-        conv_by_cell.setdefault((cond, cspec.name), []).append(result.feedback.conversions)
-        raw_rows.append([cspec.name, cond.label, trial, result.records]
+    conv_by_cell: dict[tuple[int, str], list[int]] = {}  # by level position: a level may repeat
+    for c, trial, cspec, result in _cells(spec, [(p, spec.controllers) for p in p_list]):
+        conv_by_cell.setdefault((c, cspec.name), []).append(result.feedback.conversions)
+        raw_rows.append([cspec.name, p_list[c], trial, result.records]
                         + _metrics_row(result.feedback))
     summary_rows: list[list] = []
-    for (cond, name), convs in conv_by_cell.items():
+    for (c, name), convs in conv_by_cell.items():
         conv = np.array(convs, dtype=float)
         mean = float(conv.mean())
         s = float(conv.std(ddof=1)) if len(conv) > 1 else 0.0
         half = 1.96 * s / math.sqrt(len(conv))
-        summary_rows.append([name, cond.label, len(conv), mean, mean - half, mean + half])
+        summary_rows.append([name, p_list[c], len(conv), mean, mean - half, mean + half])
     return _emit(spec, "sweep-sparsity", "sweep_manifest.json", {
         "sweep": ("sweep.csv", ["controller", "p", "trials", "mean_conv", "ci_low", "ci_high"],
                   summary_rows),
@@ -414,13 +410,11 @@ def run_ablation(spec: ExperimentSpec) -> dict[str, Path]:
     if "feature_set" in base.params:
         raise ConfigurationError("ablation sets the mlp's feature_set itself; "
                                  "remove feature_set from its params")
-    conditions = [
-        _Condition(fs.value, spec.sim.dropout_p,
+    conditions = [(spec.sim.dropout_p,
                    (replace(base, params={**base.params, "feature_set": fs.value}),))
-        for fs in ABLATION_ORDER
-    ]
-    rows = [[cond.label, trial] + _metrics_row(result.feedback)
-            for cond, trial, _, result in _cells(spec, conditions)]
+                  for fs in ABLATION_ORDER]
+    rows = [[ABLATION_ORDER[c].value, trial] + _metrics_row(result.feedback)
+            for c, trial, _, result in _cells(spec, conditions)]
     return _emit(spec, "ablation", "ablation_manifest.json", {
         "ablation": ("ablation.csv", ["feature_set", "trial", *_METRIC_COLUMNS], rows),
     })

@@ -118,7 +118,7 @@ def _underscore(field: str) -> str:
 _FIELD_MUTATIONS = (
     lambda f: f" {f}\t", lambda f: "+" + f, _underscore, lambda f: f + ".0",
     lambda f: f + "#", lambda f: BIG, lambda f: "-" + BIG, lambda f: "nan",
-    lambda f: "1.5", lambda f: "-0.000001",
+    lambda f: "1.5", lambda f: "-0.000001", lambda f: f + "\xa0", lambda f: "\x1e" + f,
 )
 
 
@@ -175,6 +175,17 @@ class TestFromCsv:
         path = tmp_path / "log.csv"
         path.write_bytes(text.encode("utf-8"))
         assert _outcome(lambda: BidLog.from_csv(path)) == _outcome(lambda: _streamed(path))
+
+    @pytest.mark.parametrize("row", ["{pad}10,0.5,0.5,100,1,1", "10,0.5{pad},0.5,100,1,1",
+                                     "10,0.5,0.5,100,1,1{pad}"])
+    @pytest.mark.parametrize("pad", ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000"])
+    def test_padded_field_is_malformed_for_both_readers(self, tmp_path, pad, row):
+        # numpy's reader strips each of these from around a field as whitespace
+        path = tmp_path / "log.csv"
+        path.write_bytes(f"{HEADER}{row.format(pad=pad)}\n20,0.25,0.5,100,0,0\n".encode("utf-8"))
+        outcome = _outcome(lambda: BidLog.from_csv(path))
+        assert outcome == _outcome(lambda: _streamed(path))
+        assert outcome[0] is MalformedRow and outcome[1].startswith("line 2: ")
 
     @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
     def test_header_only_is_empty_without_warning(self, tmp_path, body):

@@ -41,7 +41,7 @@ from rtblab import (
 from rtblab.auction import PeriodMode, _kept_indices
 from rtblab import cli
 from rtblab.cli import build_parser, main
-from rtblab.harness import _metrics_row, derive_seed, spec_from_dict, spec_to_dict
+from rtblab.harness import PRESETS, _metrics_row, derive_seed, spec_from_dict, spec_to_dict
 from support import feedback, naive_replay, records
 
 CONSTRAINTS = ConstraintSet.single_ppc(1800)
@@ -539,6 +539,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: MalformedRow: line 2: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("pad", ["\xa0", "\x1f"], ids=["no-break-space", "unit-separator"])
+    def test_padded_field_in_log_is_one_line_error(self, tmp_path, capsys, pad):
+        # numpy's reader used to strip the pad, and the run wrote its outputs
+        log = tmp_path / "log.csv"
+        log.write_text(f"ts,pctr,pcvr,market_price,click,conversion\n10,0.5{pad},0.5,100,1,1\n",
+                       encoding="utf-8")
+        rc = main(["run", "--log", str(log), "--budget", "1000", "--ppc-target", "100",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedRow: line 2: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, line", [
         (b"ts,pctr,pcvr,market_price,click,conversion\n1,0.01,0.02,70,0,0\n"
          b"2,0.0\xff1,0.02,70,0,0\n", 3),
@@ -964,6 +977,18 @@ class TestCli:
             main(["sweep-sparsity", "--help"])
         assert "repeated trials (default 100)" in " ".join(capsys.readouterr().out.split())
 
+    def test_run_help_reads_its_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for name, preset in PRESETS.items():
+            assert f"{name} (budget {preset['budget']}, PPC {preset['ppc']})" in out
+        for what, default in [("synthetic log seed", SynthConfig.seed),
+                              ("opportunities per control period", SimConfig.period_bids),
+                              ("probability of dropping each record", SimConfig.dropout_p),
+                              ("base seed", ExperimentSpec.base_seed)]:
+            assert f"{what} (default {default})" in out
+
     def test_sweep_cli(self, tmp_path):
         rc = main(["sweep-sparsity", "--synthetic", "400", "--budget", "50000",
                    "--ppc-target", "1800", "--trials", "3", "--p-list", "0.2,0.8",
@@ -1016,8 +1041,10 @@ def test_config_float_field_must_be_finite(cls, name, value):
     (lambda out: spec_from_dict({**VALID_CONFIG, "controllers": [7]}),
      "config controller 0: expected an object, got int"),
     (lambda out: sweep_sparsity(small_spec(out), [1.5]), "dropout level 1.5 outside [0, 1]"),
+    (lambda out: sweep_sparsity(small_spec(out), [0.2, "0.5"]),
+     "dropout level '0.5' is not a number"),
 ], ids=["unknown-kind", "no-log-source", "no-controllers", "zero-trials", "negative-base-seed",
-        "controller-not-object", "dropout-level-above-one"])
+        "controller-not-object", "dropout-level-above-one", "dropout-level-text"])
 def test_harness_rejects_bad_spec(tmp_path, build, message):
     with pytest.raises(ConfigurationError) as exc:
         build(tmp_path / "out")
