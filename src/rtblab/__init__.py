@@ -28,7 +28,6 @@ from .core import (
     KpiConstraint,
     KpiKind,
     PeriodFeedback,
-    feedback_value,
 )
 from .data import (
     BidLog,
@@ -61,7 +60,7 @@ __all__ = [
     "LogFormatError", "MalformedRow", "MlpBidController", "MlpControllerConfig",
     "NonMonotonicTimestamp", "PeriodFeedback", "PeriodMode", "PeriodTrace", "PidConfig",
     "PidController", "SimConfig", "SynthConfig", "apply_dropout",
-    "convert_ipinyou", "feedback_value", "generate_synthetic", "parse_canonical",
+    "convert_ipinyou", "generate_synthetic", "parse_canonical",
     "run_ablation", "run_campaign", "run_experiment", "run_period",
     "serialize_canonical", "sweep_sparsity",
 ]

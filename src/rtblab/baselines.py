@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ConfigurationError, ConstraintSet, KpiKind, PeriodFeedback, feedback_value
+from .core import ConfigurationError, ConstraintSet, KpiKind, PeriodFeedback
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ class PidController:
         return max(cfg.u_min, min(cfg.u_max, u))  # NaN goes to u_max
 
     def begin_period(self, feedback: PeriodFeedback) -> float:
-        error = feedback_value(self._ppc, feedback) / self._ppc.target - 1.0
-        return self.step(error)
+        return self.step(self._ppc.normalized(feedback) - 1.0)
 
     def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
                    elapsed_fraction: float = 1.0) -> None:

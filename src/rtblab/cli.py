@@ -21,6 +21,7 @@ from .data import (
     SynthConfig,
     convert_ipinyou,
     generate_synthetic,
+    is_plain_number,
     serialize_canonical,
 )
 from .harness import (
@@ -47,14 +48,36 @@ _SYNTH_FLAGS = (("--ctr", "ctr_true", "true click rate"),
                 ("--seed", "seed", "generator seed"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors, and its subparsers', are the one-line exit."""
+
+    def error(self, message: str):
+        raise ConfigurationError(message)
+
+
+def _number(kind: type):
+    """An argparse type that reads a flag as a log field is read."""
+    def read(text: str):
+        if is_plain_number(text):
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+    return read
+
+
+_INT, _FLOAT = _number(int), _number(float)
+
+
 def _add_spec_flags(p: argparse.ArgumentParser, trials: int = ExperimentSpec.trials) -> None:
     """The spec flags; ``trials`` is the command's default number of trials."""
     p.add_argument("--config", help="JSON experiment config or a previously written manifest; "
                                     "only --out, --trials and --p-list may be given with it")
     p.add_argument("--log", help="canonical bid-log CSV to replay")
-    p.add_argument("--synthetic", type=int, metavar="N",
+    p.add_argument("--synthetic", type=_INT, metavar="N",
                    help="generate an N-record synthetic log instead of reading one")
-    p.add_argument("--synth-seed", type=int,
+    p.add_argument("--synth-seed", type=_INT,
                    help=f"synthetic log seed (default {SynthConfig.seed})")
     p.add_argument("--controller", action="append", choices=CONTROLLER_KINDS,
                    help="controller to run; repeat the flag to compare several (default: mlp)")
@@ -62,22 +85,22 @@ def _add_spec_flags(p: argparse.ArgumentParser, trials: int = ExperimentSpec.tri
                    help="benchmark preset: " + " or ".join(
                        f"{name} (budget {preset['budget']}, PPC {preset['ppc']})"
                        for name, preset in sorted(PRESETS.items())))
-    p.add_argument("--budget", type=int, help="campaign budget in fen")
-    p.add_argument("--ppc-target", type=int, help="PPC constraint target in fen")
-    p.add_argument("--ppc-expected", type=int,
+    p.add_argument("--budget", type=_INT, help="campaign budget in fen")
+    p.add_argument("--ppc-target", type=_INT, help="PPC constraint target in fen")
+    p.add_argument("--ppc-expected", type=_INT,
                    help="expected PPC used in bid pricing (default: the PPC target)")
     p.add_argument("--multi", action="store_const", const=True,
                    help="track budget as a KPI as well as PPC (default: PPC only)")
-    p.add_argument("--period-bids", type=int,
+    p.add_argument("--period-bids", type=_INT,
                    help=f"opportunities per control period (default {SimConfig.period_bids})")
-    p.add_argument("--period-ms", type=int, metavar="MS",
+    p.add_argument("--period-ms", type=_INT, metavar="MS",
                    help="batch periods by wall-clock window of MS milliseconds "
                         "instead of by bid count (900000 for 15-minute periods)")
-    p.add_argument("--dropout", type=float,
+    p.add_argument("--dropout", type=_FLOAT,
                    help=f"probability of dropping each record (default {SimConfig.dropout_p})")
-    p.add_argument("--trials", type=int,
+    p.add_argument("--trials", type=_INT,
                    help=f"repeated trials (default {trials})")
-    p.add_argument("--seed", type=int, help=f"base seed (default {ExperimentSpec.base_seed})")
+    p.add_argument("--seed", type=_INT, help=f"base seed (default {ExperimentSpec.base_seed})")
     p.add_argument("--out", help="output directory (default ./out)")
 
 
@@ -159,10 +182,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     p_list = levels_from_dict(doc)
     doc.pop("p_list", None)  # the sweep's own key, which spec_from_dict rejects
     if args.p_list is not None:
-        try:
-            p_list = [float(tok) for tok in args.p_list.split(",") if tok]
-        except ValueError as exc:
-            raise ConfigurationError(f"--p-list: {exc}") from None
+        p_list = args.p_list
     spec = _build_spec(args, doc, SWEEP_TRIALS)
     if spec.sim.dropout_p != 0.0 and "spec" not in doc:  # a manifest re-runs as written
         raise ConfigurationError("a sweep's dropout levels replace sim.dropout_p (--dropout); "
@@ -201,7 +221,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rtblab",
         description="Desk-scale RTB lab: replay bid logs through a second-price "
                     "auction with feedback-controlled bid adjustment.",
@@ -215,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep-sparsity", help="dropout sweep with repeated trials")
     _add_spec_flags(p_sweep, SWEEP_TRIALS)
     p_sweep.add_argument("--p-list",
+                         type=lambda text: [_FLOAT(tok) for tok in text.split(",") if tok],
                          help="comma-separated dropout levels "
                               "(default 0.1..0.9, or the list in the config/manifest)")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -224,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl.set_defaults(func=_cmd_experiment, driver=run_ablation)
 
     p_gen = sub.add_parser("gen-synthetic", help="write a seeded synthetic canonical log")
-    p_gen.add_argument("--n", type=int, required=True, help="number of records")
+    p_gen.add_argument("--n", type=_INT, required=True, help="number of records")
     defaults = SynthConfig()
     for flag, name, what in _SYNTH_FLAGS:
         default = getattr(defaults, name)
-        p_gen.add_argument(flag, type=type(default), help=f"{what} (default {default})")
+        p_gen.add_argument(flag, type=_number(type(default)), help=f"{what} (default {default})")
     p_gen.add_argument("--out", required=True, help="output CSV path")
     p_gen.set_defaults(func=_cmd_gen_synthetic)
 
@@ -240,20 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="field delimiter of the raw file ('tab' or a literal, default tab)")
     p_conv.add_argument("--has-header", action="store_true",
                         help="skip the first input line")
-    p_conv.add_argument("--col-ts", type=int, required=True, help="timestamp column index")
-    p_conv.add_argument("--col-pctr", type=int, required=True, help="pCTR column index")
-    p_conv.add_argument("--col-pcvr", type=int, required=True, help="pCVR column index")
-    p_conv.add_argument("--col-price", type=int, required=True, help="paying-price column index")
-    p_conv.add_argument("--col-click", type=int, required=True, help="click label column index")
-    p_conv.add_argument("--col-conversion", type=int, required=True,
+    p_conv.add_argument("--col-ts", type=_INT, required=True, help="timestamp column index")
+    p_conv.add_argument("--col-pctr", type=_INT, required=True, help="pCTR column index")
+    p_conv.add_argument("--col-pcvr", type=_INT, required=True, help="pCVR column index")
+    p_conv.add_argument("--col-price", type=_INT, required=True, help="paying-price column index")
+    p_conv.add_argument("--col-click", type=_INT, required=True, help="click label column index")
+    p_conv.add_argument("--col-conversion", type=_INT, required=True,
                         help="conversion label column index")
     p_conv.set_defaults(func=_cmd_convert)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigurationError, LogFormatError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -26,13 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    ConfigurationError,
-    ConstraintSet,
-    KpiKind,
-    PeriodFeedback,
-    feedback_value,
-)
+from .core import ConfigurationError, ConstraintSet, KpiKind, PeriodFeedback
 
 
 class FeatureSet(Enum):
@@ -116,7 +110,7 @@ def extra_features(feedback: PeriodFeedback, feature_set: FeatureSet) -> list[fl
 
 def normalized_feedback(constraints: ConstraintSet, feedback: PeriodFeedback) -> list[float]:
     """Per-constraint achieved value divided by its target."""
-    return [feedback_value(c, feedback) / c.target for c in constraints.constraints]
+    return [c.normalized(feedback) for c in constraints.constraints]
 
 
 def build_input(xhat: Sequence[float], feedback: PeriodFeedback,

@@ -39,6 +39,17 @@ class KpiConstraint:
             raise ConfigurationError(f"error weight must be positive and finite, "
                                      f"got {self.error_weight}")
 
+    def normalized(self, feedback: PeriodFeedback) -> float:
+        """The achieved value over the target: the one place the ratio is taken.
+
+        BUDGET tracks cumulative spend.  PPC_TARGET tracks cost per conversion,
+        with ``max(conversions, 1)`` in the denominator so the signal exists
+        (pessimistically equal to total spend) before the first conversion.
+        """
+        if self.kind is KpiKind.BUDGET:
+            return float(feedback.cost) / self.target
+        return feedback.cost / max(feedback.conversions, 1) / self.target
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -134,14 +145,3 @@ class PeriodFeedback:
     def mean_pcvr(self) -> float:
         return self.sum_pcvr / self.bids_participated if self.bids_participated else 0.0
 
-
-def feedback_value(constraint: KpiConstraint, feedback: PeriodFeedback) -> float:
-    """The raw achieved value a constraint is compared against.
-
-    BUDGET tracks cumulative spend.  PPC_TARGET tracks cost per conversion,
-    with ``max(conversions, 1)`` in the denominator so the signal exists
-    (pessimistically equal to total spend) before the first conversion.
-    """
-    if constraint.kind is KpiKind.BUDGET:
-        return float(feedback.cost)
-    return feedback.cost / max(feedback.conversions, 1)

@@ -56,11 +56,18 @@ class LabelViolation(LogFormatError):
     pass
 
 
+def is_plain_number(text: str) -> bool:
+    """Whether ``int()``/``float()`` may read ``text``: ASCII with no ``_``.
+    Both also read ``_`` separators and non-ASCII digits, which no reader of
+    the lab accepts."""
+    return text.isascii() and "_" not in text
+
+
 def _parse_row(fields: Sequence[str], line_no: int, last_ts: int | None) -> tuple:
     if len(fields) != 6:
         raise MalformedRow(line_no, f"expected 6 fields, got {len(fields)}")
-    for text in fields:  # int() and float() also read '_' separators and non-ASCII digits
-        if not text.isascii() or "_" in text:
+    for text in fields:
+        if not is_plain_number(text):
             raise MalformedRow(line_no, f"unparseable field {text!r}: not ASCII, or holds '_'")
     try:
         ts = int(fields[0])

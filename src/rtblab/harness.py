@@ -21,8 +21,7 @@ import numpy as np
 from .auction import CampaignResult, SimConfig, run_campaign
 from .baselines import FixedBidController, PidConfig, PidController
 from .controller import FeatureSet, MlpBidController, MlpControllerConfig
-from .core import (ConfigurationError, ConstraintSet, KpiConstraint, KpiKind, PeriodFeedback,
-                   feedback_value)
+from .core import ConfigurationError, ConstraintSet, KpiConstraint, KpiKind, PeriodFeedback
 from .data import BidLog, SynthConfig, generate_synthetic
 
 # Each controller kind and the config dataclass its ``params`` are read into.
@@ -199,7 +198,7 @@ def _trace_rows(name: str, trial: int, result: CampaignResult,
         errors = {}
         j = 0.0
         for c in constraints.constraints:
-            errors[c.kind] = e = feedback_value(c, t.feedback) / c.target - 1.0
+            errors[c.kind] = e = c.normalized(t.feedback) - 1.0
             j += c.error_weight * e * e
         du = t.u - prev.u
         j += du * du

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from rtblab import BidLog, BudgetErrorMode, KpiKind, PeriodFeedback, feedback_value
+from rtblab import BidLog, BudgetErrorMode, KpiKind, PeriodFeedback
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,20 @@ def feedback(bids=0, imp=0, clk=0, conv=0, cost=0, sum_pctr=0.0, sum_pcvr=0.0) -
 # before the per-period path was reworked.  The package's forms must match
 # them bit for bit.
 
+def kpi_ratio(constraint, feedback: PeriodFeedback) -> float:
+    """A KPI's achieved value over its target: spend for a budget, spend per
+    conversion (spend alone before the first conversion) for a PPC target."""
+    if constraint.kind is KpiKind.BUDGET:
+        return feedback.cost / constraint.target
+    conv = feedback.conversions
+    per_conversion = feedback.cost / conv if conv else float(feedback.cost)
+    return per_conversion / constraint.target
+
+
 def kpi_error(constraints, feedback: PeriodFeedback, elapsed_fraction: float = 1.0,
               mode: BudgetErrorMode = BudgetErrorMode.FULL_BUDGET) -> np.ndarray:
     """Target-normalized error vector, one entry per constraint."""
-    xhat = np.array([feedback_value(c, feedback) / c.target for c in constraints.constraints])
+    xhat = np.array([kpi_ratio(c, feedback) for c in constraints.constraints])
     zhat = np.ones(len(constraints.constraints))
     if mode is BudgetErrorMode.PACED:
         for i, c in enumerate(constraints.constraints):

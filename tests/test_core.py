@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rtblab import (
@@ -8,9 +8,8 @@ from rtblab import (
     KpiConstraint,
     KpiKind,
     PeriodFeedback,
-    feedback_value,
 )
-from support import BidRecord, adjusted_ecpm, feedback
+from support import BidRecord, adjusted_ecpm, feedback, kpi_ratio
 
 
 class TestFeedbackValue:
@@ -18,14 +17,25 @@ class TestFeedbackValue:
     ppc = KpiConstraint(KpiKind.PPC_TARGET, target=1800)
 
     def test_budget_is_cost(self):
-        assert feedback_value(self.budget, feedback(cost=500)) == 500
+        assert self.budget.normalized(feedback(cost=500)) == 500 / 100_000
 
     def test_ppc_ratio(self):
-        assert feedback_value(self.ppc, feedback(cost=3600, conv=2)) == 1800
+        assert self.ppc.normalized(feedback(cost=3600, conv=2)) == 1.0
 
     def test_ppc_before_first_conversion(self):
         # cost / max(conv, 1) with conv = 0 falls back to total spend
-        assert feedback_value(self.ppc, feedback(cost=900, conv=0)) == 900
+        assert self.ppc.normalized(feedback(cost=900, conv=0)) == 900 / 1800
+
+    # Compared with ``==``: another order of the same divisions, such as
+    # cost / (max(conv, 1) * target), rounds differently and fails here.
+    @given(kind=st.sampled_from(KpiKind), target=st.integers(1, 10**9),
+           cost=st.integers(0, 2**53), conv=st.integers(0, 10**6))
+    @example(kind=KpiKind.PPC_TARGET, target=1800, cost=2**53, conv=0)
+    @example(kind=KpiKind.BUDGET, target=3, cost=2**53, conv=0)
+    def test_normalized_matches_the_oracle_bit_for_bit(self, kind, target, cost, conv):
+        constraint = KpiConstraint(kind, target)
+        fb = PeriodFeedback(conversions=conv, cost=cost)
+        assert constraint.normalized(fb) == kpi_ratio(constraint, fb)
 
 
 class TestAdjustedEcpm:

@@ -57,6 +57,8 @@ VALID_CONFIG = {
     "controllers": [{"kind": "fixed"}],
     "constraints": {"ppc_expected": 1800, "kpis": [{"kind": "ppc_target", "target": 1800}]},
 }
+# The spec flags of a small run.
+_SPEC_FLAGS = ["--synthetic", "400", "--budget", "50000", "--ppc-target", "1800"]
 
 
 def small_spec(out_dir, controllers=(ControllerSpec(kind="fixed"),), **overrides):
@@ -857,6 +859,50 @@ class TestCli:
         assert main(["run", *argv]) == rc
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(os.listdir(tmp_path)) == ["a_dir", "a_file"]
+
+    @pytest.mark.parametrize("written", ["underscore", "full-width"])
+    @pytest.mark.parametrize("argv, flag, kind", [
+        (["run", *_SPEC_FLAGS], "--seed", int),
+        (["run", *_SPEC_FLAGS], "--dropout", float),
+        (["sweep-sparsity", *_SPEC_FLAGS, "--trials", "1"], "--p-list", float),
+        (["gen-synthetic", "--out", "log.csv"], "--n", int),
+        (["gen-synthetic", "--n", "10", "--out", "log.csv"], "--ctr", float),
+        (["convert-ipinyou", "--in", "raw.tsv", "--out", "log.csv", "--col-pctr", "1",
+          "--col-pcvr", "2", "--col-price", "3", "--col-click", "4", "--col-conversion", "5"],
+         "--col-ts", int),
+    ], ids=["int-spec-flag", "float-spec-flag", "p-list", "gen-synthetic-n",
+            "gen-synthetic-ctr", "col-flag"])
+    def test_numeric_flag_is_read_as_a_log_field(self, tmp_path, monkeypatch, capsys,
+                                                 argv, flag, kind, written):
+        # int() and float() also read '_' separators and non-ASCII digits, so
+        # "--seed 1_0" used to run with seed 10, as "１０" did
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "raw.tsv").write_text("\t".join(["0"] * 11) + "\n")
+        digits = {"underscore": "1_0", "full-width": "１０"}[written]
+        value = digits if kind is int else "0." + digits
+        assert main([*argv, flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: ConfigurationError: argument {flag}: "
+                                  f"invalid {kind.__name__} value: {value!r}\n")
+        assert os.listdir(tmp_path) == ["raw.tsv"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--synthetic", "100", "--budget", "x", "--ppc-target", "1800"],
+         "argument --budget: invalid int value: 'x'"),
+        (["run", *_SPEC_FLAGS, "--controller", "nope"],
+         "argument --controller: invalid choice: 'nope'"),
+        (["run", *_SPEC_FLAGS, "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+        (["gen-synthetic", "--out", "log.csv"], "the following arguments are required: --n"),
+    ], ids=["bad-int", "bad-choice", "unknown-flag", "no-subcommand", "missing-required"])
+    def test_usage_error_is_one_line(self, tmp_path, monkeypatch, capsys, argv, message):
+        # each used to print argparse's usage block above its own error line
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: ConfigurationError: {message}")
+        assert os.listdir(tmp_path) == []
 
     def test_controller_names_are_quoted_in_csvs(self, tmp_path):
         # "a,b" used to write an 8-field row under the 7-column header, and a
