@@ -39,7 +39,7 @@ class SimConfig:
         if self.budget < 0:
             raise ConfigurationError("budget must be >= 0")
         if not (0.0 <= self.dropout_p <= 1.0):
-            raise ConfigurationError("dropout_p must lie in [0, 1]")
+            raise ConfigurationError(f"dropout_p must lie in [0, 1], got {self.dropout_p}")
         used, unused = (("period_bids", "period_ms") if self.period_mode is PeriodMode.COUNT
                         else ("period_ms", "period_bids"))
         if getattr(self, used) < 1:

@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep-sparsity", help="dropout sweep with repeated trials")
     _add_spec_flags(p_sweep, SWEEP_TRIALS)
     p_sweep.add_argument("--p-list",
-                         type=lambda text: [_FLOAT(tok) for tok in text.split(",") if tok],
+                         type=lambda text: [_FLOAT(tok) for tok in text.split(",")],
                          help="comma-separated dropout levels "
                               "(default 0.1..0.9, or the list in the config/manifest)")
     p_sweep.set_defaults(func=_cmd_sweep)

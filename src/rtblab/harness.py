@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from enum import Enum
 from pathlib import Path
 from typing import Collection, Iterator, Mapping, Sequence, get_type_hints
 
@@ -28,8 +28,9 @@ from .data import BidLog, SynthConfig, generate_synthetic
 _CONTROLLER_CONFIGS = {"mlp": MlpControllerConfig, "pid": PidConfig, "fixed": FixedBidController}
 CONTROLLER_KINDS = tuple(_CONTROLLER_CONFIGS)
 
-# A sweep's trials per level when its config or manifest names none
+# A sweep's trials and dropout levels when its config or manifest names none
 SWEEP_TRIALS = 100
+SWEEP_LEVELS = tuple(0.1 * k for k in range(1, 10))
 
 # Reference benchmark presets (budget fen, expected PPC fen)
 PRESETS = {
@@ -136,27 +137,51 @@ def load_log(spec: ExperimentSpec) -> BidLog:
 # The cell loop and its writer
 
 def _cells(spec: ExperimentSpec,
-           conditions: Sequence[tuple[float, Sequence[ControllerSpec]]]) -> Iterator[tuple]:
-    """Replay every cell of the ``(dropout_p, controllers)`` conditions; yield
+           conditions: Sequence[tuple[SimConfig, Sequence[ControllerSpec]]]) -> Iterator[tuple]:
+    """Replay every cell of the ``(sim, controllers)`` conditions; yield
     ``(position, trial, cspec, result)`` in condition -> trial -> controller
     order, ``position`` being the condition's index in ``conditions``.
 
-    The dropout mask of a trial is seeded by (base_seed, trial) alone, so
-    all controllers of a trial, and all levels of a sweep, share its
-    uniforms.  The controller at position ``idx`` is seeded by
+    Each trial replays its condition's ``sim`` with only ``dropout_seed``
+    set.  The dropout mask of a trial is seeded by (base_seed, trial)
+    alone, so all controllers of a trial, and all levels of a sweep, share
+    its uniforms.  The controller at position ``idx`` is seeded by
     (``params.rng_seed`` if given, else base_seed, trial, idx), so the
     ablation reuses the same seeds across feature sets.  The controllers
     of one (condition, trial) run back to back to share the cached mask.
     """
     log = load_log(spec)
-    for position, (dropout_p, controllers) in enumerate(conditions):
+    for position, (sim, controllers) in enumerate(conditions):
         for trial in range(spec.trials):
-            sim = replace(spec.sim, dropout_p=dropout_p,
-                          dropout_seed=derive_seed(spec.base_seed, trial))
+            trial_sim = replace(sim, dropout_seed=derive_seed(spec.base_seed, trial))
             for idx, cspec in enumerate(controllers):
                 seed = derive_seed(cspec.params.get("rng_seed", spec.base_seed), trial, idx)
                 controller = build_controller(cspec, spec.constraints, seed)
-                yield position, trial, cspec, run_campaign(log, controller, spec.constraints, sim)
+                yield position, trial, cspec, run_campaign(log, controller, spec.constraints, trial_sim)
+
+
+def _plain(value):
+    """A numpy value as the Python value ``json`` writes, an enum as its value."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    if isinstance(value, Enum):
+        return value.value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _read_back(command: str, spec: ExperimentSpec, **extra) -> tuple[ExperimentSpec, dict]:
+    """``spec`` and its manifest ``{"command", "spec", **extra}`` as JSON
+    reads them back, so a driver runs and writes what a ``--config`` re-run
+    would: a numpy scalar becomes its Python value, an int in a float field
+    a float, and a value JSON cannot hold is refused before any output."""
+    try:
+        doc = json.loads(json.dumps({"command": command, "spec": spec_to_dict(spec), **extra},
+                                    default=_plain))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"manifest: {exc}") from None
+    spec = spec_from_dict(doc["spec"])
+    doc["spec"] = spec_to_dict(spec)
+    return spec, doc
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -168,18 +193,16 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
         writer.writerows(rows)
 
 
-def _emit(spec: ExperimentSpec, command: str, manifest_name: str,
-          tables: Mapping[str, tuple], extra: Mapping | None = None) -> dict[str, Path]:
+def _emit(doc: Mapping, manifest_name: str, tables: Mapping[str, tuple]) -> dict[str, Path]:
     """Write each table ``key: (file name, header, rows)`` and then the
-    manifest under ``spec.out_dir``; return the paths by key."""
-    out = Path(spec.out_dir)
+    manifest ``doc`` under its spec's ``out_dir``; return the paths by key."""
+    out = Path(doc["spec"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
     for key, (file_name, header, rows) in tables.items():
         paths[key] = out / file_name
         _write_csv(paths[key], header, rows)
     paths["manifest"] = out / manifest_name
-    doc = {"command": command, "spec": spec_to_dict(spec), **(extra or {})}
     with open(paths["manifest"], "w", encoding="utf-8", newline="") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -338,9 +361,11 @@ def spec_from_dict(d: Mapping, trials: int = ExperimentSpec.trials) -> Experimen
 def levels_from_dict(d: Mapping) -> list[float]:
     """The dropout levels of a sweep config or manifest: its ``p_list``, each
     level read as a number, or 0.1, ..., 0.9 if it has none."""
-    levels = d.get("p_list", [0.1 * k for k in range(1, 10)])
+    levels = d.get("p_list", list(SWEEP_LEVELS))
     if not isinstance(levels, list):
         raise ConfigurationError(f"p_list must be a list, got {type(levels).__name__}")
+    if not levels:
+        raise ConfigurationError("a sweep needs at least one dropout level")
     with _fields_of("config"):
         return [_as(float, "p_list", p) for p in levels]
 
@@ -351,12 +376,13 @@ def levels_from_dict(d: Mapping) -> list[float]:
 def run_experiment(spec: ExperimentSpec) -> dict[str, Path]:
     """Run every configured controller over the log; write metrics, per-period
     traces, and the manifest."""
+    spec, doc = _read_back("run", spec)
     metrics_rows: list[list] = []
     trace_rows: list[list] = []
-    for _, trial, cspec, result in _cells(spec, [(spec.sim.dropout_p, spec.controllers)]):
+    for _, trial, cspec, result in _cells(spec, [(spec.sim, spec.controllers)]):
         metrics_rows.append([cspec.name, trial] + _metrics_row(result.feedback))
         trace_rows.extend(_trace_rows(cspec.name, trial, result, spec.constraints))
-    return _emit(spec, "run", "manifest.json", {
+    return _emit(doc, "manifest.json", {
         "metrics": ("metrics.csv", ["controller", "trial", *_METRIC_COLUMNS], metrics_rows),
         "trace": ("trace.csv",
                   ["controller", "trial", "period", "u", "e_ppc", "e_budget", "j", "conv", "cost"],
@@ -364,22 +390,17 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, Path]:
     })
 
 
-def sweep_sparsity(spec: ExperimentSpec, p_list: Sequence[float]) -> dict[str, Path]:
+def sweep_sparsity(spec: ExperimentSpec, p_list: Sequence[float] = SWEEP_LEVELS) -> dict[str, Path]:
     """Replay the experiment across dropout levels with repeated trials and
     summarize conversions per (level, controller) with a 95% interval.
-    Each level replaces ``spec.sim.dropout_p``."""
-    for p in p_list:
-        if not isinstance(p, numbers.Real):  # the CLI reads --p-list's text; a level is a number
-            raise ConfigurationError(f"dropout level {p!r} is not a number")
-    p_list = [float(p) for p in p_list]
-    if not p_list:
-        raise ConfigurationError("a sweep needs at least one dropout level")
-    for p in p_list:
-        if not (0.0 <= p <= 1.0):
-            raise ConfigurationError(f"dropout level {p} outside [0, 1]")
+    Each level replaces ``spec.sim.dropout_p``; the levels are read as a
+    sweep manifest's ``p_list`` is."""
+    spec, doc = _read_back("sweep-sparsity", spec, p_list=p_list)
+    doc["p_list"] = p_list = levels_from_dict(doc)
+    conditions = [(replace(spec.sim, dropout_p=p), spec.controllers) for p in p_list]
     raw_rows: list[list] = []
     conv_by_cell: dict[tuple[int, str], list[int]] = {}  # by level position: a level may repeat
-    for c, trial, cspec, result in _cells(spec, [(p, spec.controllers) for p in p_list]):
+    for c, trial, cspec, result in _cells(spec, conditions):
         conv_by_cell.setdefault((c, cspec.name), []).append(result.feedback.conversions)
         raw_rows.append([cspec.name, p_list[c], trial, result.records]
                         + _metrics_row(result.feedback))
@@ -390,12 +411,12 @@ def sweep_sparsity(spec: ExperimentSpec, p_list: Sequence[float]) -> dict[str, P
         s = float(conv.std(ddof=1)) if len(conv) > 1 else 0.0
         half = 1.96 * s / math.sqrt(len(conv))
         summary_rows.append([name, p_list[c], len(conv), mean, mean - half, mean + half])
-    return _emit(spec, "sweep-sparsity", "sweep_manifest.json", {
+    return _emit(doc, "sweep_manifest.json", {
         "sweep": ("sweep.csv", ["controller", "p", "trials", "mean_conv", "ci_low", "ci_high"],
                   summary_rows),
         "trials": ("sweep_trials.csv",
                    ["controller", "p", "trial", "records", *_METRIC_COLUMNS], raw_rows),
-    }, {"p_list": p_list})
+    })
 
 
 ABLATION_ORDER = (FeatureSet.NONE, FeatureSet.POSTERIOR, FeatureSet.PRIOR, FeatureSet.FULL)
@@ -403,17 +424,17 @@ ABLATION_ORDER = (FeatureSet.NONE, FeatureSet.POSTERIOR, FeatureSet.PRIOR, Featu
 
 def run_ablation(spec: ExperimentSpec) -> dict[str, Path]:
     """Run the same experiment under each feature set with identical seeds."""
+    spec, doc = _read_back("ablation", spec)
     if len(spec.controllers) != 1 or spec.controllers[0].kind != "mlp":
         raise ConfigurationError("ablation requires exactly one mlp controller")
     base = spec.controllers[0]
     if "feature_set" in base.params:
         raise ConfigurationError("ablation sets the mlp's feature_set itself; "
                                  "remove feature_set from its params")
-    conditions = [(spec.sim.dropout_p,
-                   (replace(base, params={**base.params, "feature_set": fs.value}),))
+    conditions = [(spec.sim, (replace(base, params={**base.params, "feature_set": fs.value}),))
                   for fs in ABLATION_ORDER]
     rows = [[ABLATION_ORDER[c].value, trial] + _metrics_row(result.feedback)
             for c, trial, _, result in _cells(spec, conditions)]
-    return _emit(spec, "ablation", "ablation_manifest.json", {
+    return _emit(doc, "ablation_manifest.json", {
         "ablation": ("ablation.csv", ["feature_set", "trial", *_METRIC_COLUMNS], rows),
     })

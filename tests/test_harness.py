@@ -7,6 +7,8 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 from typing import get_type_hints
 
@@ -41,7 +43,8 @@ from rtblab import (
 from rtblab.auction import PeriodMode, _kept_indices
 from rtblab import cli
 from rtblab.cli import build_parser, main
-from rtblab.harness import PRESETS, _metrics_row, derive_seed, spec_from_dict, spec_to_dict
+from rtblab.harness import (PRESETS, _metrics_row, derive_seed, levels_from_dict, spec_from_dict,
+                            spec_to_dict)
 from support import feedback, naive_replay, records
 
 CONSTRAINTS = ConstraintSet.single_ppc(1800)
@@ -228,6 +231,20 @@ class TestSweep:
                 assert seen[key] == row[3]
             seen[key] = row[3]
         assert len(seen) == 8
+
+    @pytest.mark.parametrize("levels", [np.linspace(0.1, 0.5, 3), [np.int64(0)]],
+                             ids=["linspace", "int64"])
+    def test_numpy_levels_run_as_python_floats(self, tmp_path, levels):
+        spec = small_spec(tmp_path / "numpy", trials=2)
+        paths = sweep_sparsity(spec, levels)
+        floats = [float(p) for p in levels]
+        expected = sweep_sparsity(replace(spec, out_dir=str(tmp_path / "floats")), floats)
+        assert read(paths["sweep"]) == read(expected["sweep"])
+        assert json.loads(read(paths["manifest"]))["p_list"] == floats
+
+    def test_default_levels_are_the_readers(self, tmp_path):
+        paths = sweep_sparsity(small_spec(tmp_path / "out"))
+        assert json.loads(read(paths["manifest"]))["p_list"] == levels_from_dict({})
 
     def test_one_mask_draw_per_level_and_trial(self, tmp_path):
         # The controllers of a (level, trial) run back to back and share
@@ -969,14 +986,16 @@ class TestCli:
         assert "'x'" in err
 
     def test_empty_p_list_flag_is_one_line_error(self, tmp_path, capsys):
-        # "," used to run zero levels and write a header-only sweep.csv
-        rc = main(["sweep-sparsity", "--synthetic", "400", "--budget", "50000",
-                   "--ppc-target", "1800", "--trials", "1", "--p-list", ",",
-                   "--out", str(tmp_path / "out")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err == "error: ConfigurationError: a sweep needs at least one dropout level\n"
-        assert not (tmp_path / "out").exists()
+        # an empty token used to be dropped: "0.1,,0.2" ran two levels
+        for text in (",", "0.1,,0.2", "0.1,"):
+            rc = main(["sweep-sparsity", "--synthetic", "400", "--budget", "50000",
+                       "--ppc-target", "1800", "--trials", "1", "--p-list", text,
+                       "--out", str(tmp_path / "out")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err == ("error: ConfigurationError: argument --p-list: "
+                           "invalid float value: ''\n")
+            assert not (tmp_path / "out").exists()
 
     def test_config_file_runs(self, tmp_path):
         spec = small_spec(tmp_path / "out", (ControllerSpec(kind="fixed"),))
@@ -996,6 +1015,30 @@ class TestCli:
             assert rc == 0
             assert read(paths["metrics"]) == read(b / "metrics.csv")
             assert read(paths["trace"]) == read(b / "trace.csv")
+
+    @pytest.mark.parametrize("command, driver, controller, levels", [
+        ("run", run_experiment, ControllerSpec(kind="mlp", params={"feature_set": FeatureSet.PRIOR}),
+         ()),
+        ("sweep-sparsity", sweep_sparsity, ControllerSpec(kind="pid"), ([np.int64(0), 0.5],)),
+        ("ablation", run_ablation, ControllerSpec(kind="mlp"), ()),
+    ], ids=["run", "sweep-sparsity", "ablation"])
+    def test_library_spec_writes_the_manifest_it_reruns_as(self, tmp_path, command, driver,
+                                                            controller, levels):
+        # the enum and np.int64 used to fail mid-manifest after every campaign
+        # ran; the ints in float fields were written as ints, and re-run as floats
+        a, b = tmp_path / "a", tmp_path / "b"
+        spec = small_spec(a, (controller,), trials=2,
+                          constraints=ConstraintSet.single_ppc(1800, ppc_weight=1),
+                          sim=SimConfig(budget=np.int64(100_000), period_bids=100, dropout_p=0))
+        paths = driver(spec, *levels)
+        manifest = json.loads(read(paths["manifest"]))
+        assert manifest["spec"]["sim"]["dropout_p"] == 0.0
+        assert manifest["spec"]["constraints"]["kpis"][0]["error_weight"] == 1.0
+        if command == "run":  # an enum in params is written as its value
+            assert manifest["spec"]["controllers"][0]["params"] == {"feature_set": "prior"}
+        assert main([command, "--config", str(paths["manifest"]), "--out", str(b)]) == 0
+        for path in paths.values():
+            assert read(b / path.name).replace(str(b), str(a)) == read(path)
 
     def test_sweep_manifest_rerun_restores_p_list(self, tmp_path):
         # a library sweep of a spec with sim.dropout_p 0.3 (its levels replace
@@ -1086,11 +1129,31 @@ def test_config_float_field_must_be_finite(cls, name, value):
     (lambda out: small_spec(out, base_seed=-1), "base_seed must be >= 0, got -1"),
     (lambda out: spec_from_dict({**VALID_CONFIG, "controllers": [7]}),
      "config controller 0: expected an object, got int"),
-    (lambda out: sweep_sparsity(small_spec(out), [1.5]), "dropout level 1.5 outside [0, 1]"),
+    (lambda out: sweep_sparsity(small_spec(out), [1.5]), "dropout_p must lie in [0, 1], got 1.5"),
     (lambda out: sweep_sparsity(small_spec(out), [0.2, "0.5"]),
-     "dropout level '0.5' is not a number"),
+     "config: 'p_list' must be a number, got '0.5'"),
+    # a bool level used to run as 0.0 or 1.0
+    (lambda out: sweep_sparsity(small_spec(out), [True]),
+     "config: 'p_list' must be a number, got True"),
+    # the levels are checked before the log is read
+    (lambda out: sweep_sparsity(small_spec(out, log_path=str(out.parent / "missing.csv"),
+                                            synth=None), [0.5, 1.5]),
+     "dropout_p must lie in [0, 1], got 1.5"),
+    # each spec below ran, then wrote a manifest that a --config re-run refuses
+    (lambda out: run_experiment(small_spec(out, sim=SimConfig(budget=100_000.5))),
+     "config section 'sim': 'budget' must be an integer, got 100000.5"),
+    (lambda out: run_experiment(small_spec(out, trials=True)),
+     "config: 'trials' must be an integer, got True"),
+    (lambda out: run_ablation(small_spec(out, (ControllerSpec(kind="mlp"),),
+                                         sim=SimConfig(budget=100_000, dropout_p=True))),
+     "config section 'sim': 'dropout_p' must be a number, got True"),
+    # it used to replay every campaign, then fail mid-manifest
+    (lambda out: sweep_sparsity(small_spec(out, sim=SimConfig(budget=Decimal(100_000))), [0.5]),
+     "manifest: Object of type Decimal is not JSON serializable"),
 ], ids=["unknown-kind", "no-log-source", "no-controllers", "zero-trials", "negative-base-seed",
-        "controller-not-object", "dropout-level-above-one", "dropout-level-text"])
+        "controller-not-object", "dropout-level-above-one", "dropout-level-text",
+        "dropout-level-bool", "dropout-level-before-missing-log", "budget-fraction",
+        "trials-bool", "dropout-bool", "value-json-cannot-hold"])
 def test_harness_rejects_bad_spec(tmp_path, build, message):
     with pytest.raises(ConfigurationError) as exc:
         build(tmp_path / "out")
