@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .auction import SimConfig
 from .core import ConfigurationError
@@ -154,7 +156,7 @@ def _load_doc(args: argparse.Namespace) -> dict:
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
             raise ConfigurationError(f"config {args.config}: not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config {args.config}: must be a JSON object, "
@@ -210,12 +212,20 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if not delimiter:
         raise ConfigurationError("--delimiter must not be empty")
     n = 0
-    # surrogateescape: a byte that is not UTF-8 fails the field check of its line
-    with open(args.infile, "r", encoding="utf-8", errors="surrogateescape") as src, \
-            open(args.out, "w", encoding="utf-8", newline="") as dst:
-        for line in convert_ipinyou(src, columns, delimiter, has_header=args.has_header):
-            dst.write(line)
-            n += 1
+    # The log is written beside --out and moved over it only once every row
+    # passed, so a failed conversion leaves --out as it was.
+    tmp = Path(f"{args.out}.{os.getpid()}.tmp")
+    try:
+        # surrogateescape: a byte that is not UTF-8 fails the field check of its line
+        with open(args.infile, "r", encoding="utf-8", errors="surrogateescape") as src, \
+                open(tmp, "w", encoding="utf-8", newline="") as dst:
+            for line in convert_ipinyou(src, columns, delimiter, has_header=args.has_header):
+                dst.write(line)
+                n += 1
+        os.replace(tmp, args.out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     print(f"wrote {args.out} ({n - 1} records)")
     return 0
 
@@ -281,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy raises it as its subclass _ArrayMemoryError
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

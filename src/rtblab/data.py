@@ -228,9 +228,15 @@ class BidLog:
         self.market_price = np.asarray(market_price, dtype=np.int64)
         self.click = np.asarray(click, dtype=bool)
         self.conversion = np.asarray(conversion, dtype=bool)
-        # The replay relies on it: cumulative cost never decreases within a batch.
+        # The replay relies on both: cumulative cost never decreases within a
+        # batch, and its int64 cumulative sum cannot wrap around.
         if np.any(self.market_price < 0):
             raise ConfigurationError("market prices must be >= 0")
+        n = len(self.market_price)
+        top = int(self.market_price.max()) if n else 0
+        if top * n > _INT64.max:
+            raise ConfigurationError(f"market prices could total more than 2**63 - 1: "
+                                     f"{n} rows, the largest {top}")
 
     @classmethod
     def _of(cls, *columns) -> "BidLog":
@@ -312,6 +318,10 @@ def generate_synthetic(config: SynthConfig) -> BidLog:
     gaps = rng.integers(1, 100, size=n)
     ts = np.cumsum(gaps, dtype=np.int64) if n else np.zeros(0, dtype=np.int64)
     price = np.rint(rng.lognormal(config.price_log_mean, config.price_log_sigma, size=n))
+    if n and not float(price.max()) * n <= _INT64.max:  # BidLog's rule, before the cast can wrap
+        raise ConfigurationError(f"price_log_mean {config.price_log_mean} and price_log_sigma "
+                                 f"{config.price_log_sigma} draw market prices that could total "
+                                 f"more than 2**63 - 1; lower them")
     price = np.maximum(price, 0).astype(np.int64)
     click = rng.random(n) < config.ctr_true
     conversion = click & (rng.random(n) < config.cvr_true)

@@ -269,15 +269,6 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     }
 
 
-def _section(d: Mapping, name: str, kind: type = Mapping, what: str = "an object"):
-    if name not in d:
-        raise ConfigurationError(f"config has no {name!r} section")
-    if not isinstance(d[name], kind):
-        raise ConfigurationError(f"config section {name!r} must be {what}, "
-                                 f"got {type(d[name]).__name__}")
-    return d[name]
-
-
 def _known(d, keys: Collection[str], required: Sequence[str] = ()) -> Mapping:
     """``d``, if it is an object with every key of ``required`` and no key
     outside ``keys``.  The caller's ``_fields_of`` names the place."""
@@ -296,7 +287,10 @@ def _known(d, keys: Collection[str], required: Sequence[str] = ()) -> Mapping:
 def _as(kind: type, key: str, value):
     """Field ``key`` of type ``kind`` read from a JSON value: an int only
     from a JSON integer in the signed 64-bit range, a finite float from any
-    JSON number, neither from a bool; an enum from its value."""
+    JSON number, neither from a bool; a list only from a JSON array; an
+    enum from its value."""
+    if kind is list and type(value) is not list:
+        raise TypeError(f"{key!r} must be a list, got {type(value).__name__}")
     if kind is float and type(value) in (int, float):
         value = float(value)
         if not math.isfinite(value):
@@ -328,30 +322,26 @@ def spec_from_dict(d: Mapping, trials: int = ExperimentSpec.trials) -> Experimen
     the given one."""
     if "spec" in d:  # accept a manifest as a config
         with _fields_of("manifest"):
-            _known(d, ("command", "spec"))
-        d = _section(d, "spec")
+            d = _known(d, ("command", "spec"))["spec"]
     with _fields_of("config"):
-        _known(d, ("log", "sim", "controllers", "constraints", "trials", "base_seed", "out_dir"))
-    log = _section(d, "log")
+        _known(d, ("log", "sim", "controllers", "constraints", "trials", "base_seed", "out_dir"),
+               ["log", "sim", "controllers", "constraints"])
+        controllers_d = _as(list, "controllers", d["controllers"])
+        given = {key: _as(int, key, d[key]) for key in ("trials", "base_seed") if key in d}
     with _fields_of("config section 'log'"):
-        _known(log, ("path", "synthetic"))
-    synth = None
-    if "synthetic" in log:
-        synth = synth_from_dict(log["synthetic"], "config section 'log'")
-    sim_d = _section(d, "sim")
+        log = _known(d["log"], ("path", "synthetic"))
+        synth = _read(SynthConfig, log["synthetic"]) if "synthetic" in log else None
     with _fields_of("config section 'sim'"):
-        sim = _read(SimConfig, sim_d, ["budget"])
+        sim = _read(SimConfig, d["sim"], ["budget"])
     controllers = []
-    for i, c in enumerate(_section(d, "controllers", list, "a list")):
+    for i, c in enumerate(controllers_d):
         with _fields_of(f"config controller {i}"):
             controllers.append(ControllerSpec(**_known(c, ("kind", "name", "params"), ["kind"])))
-    cons = _section(d, "constraints")
     with _fields_of("config section 'constraints'"):
+        cons = _known(d["constraints"], ("kpis", "ppc_expected"), ["kpis", "ppc_expected"])
         kpis = tuple(_read(KpiConstraint, kpi, ["kind", "target"])
-                     for kpi in _known(cons, ("kpis", "ppc_expected"), ["kpis"])["kpis"])
+                     for kpi in _as(list, "kpis", cons["kpis"]))
         constraints = ConstraintSet(kpis, _as(int, "ppc_expected", cons["ppc_expected"]))
-    with _fields_of("config"):
-        given = {key: _as(int, key, d[key]) for key in ("trials", "base_seed") if key in d}
     given.setdefault("trials", trials)
     if "out_dir" in d:
         given["out_dir"] = d["out_dir"]
@@ -361,13 +351,12 @@ def spec_from_dict(d: Mapping, trials: int = ExperimentSpec.trials) -> Experimen
 def levels_from_dict(d: Mapping) -> list[float]:
     """The dropout levels of a sweep config or manifest: its ``p_list``, each
     level read as a number, or 0.1, ..., 0.9 if it has none."""
-    levels = d.get("p_list", list(SWEEP_LEVELS))
-    if not isinstance(levels, list):
-        raise ConfigurationError(f"p_list must be a list, got {type(levels).__name__}")
+    with _fields_of("config"):
+        levels = _as(list, "p_list", d.get("p_list", list(SWEEP_LEVELS)))
+        levels = [_as(float, "p_list", p) for p in levels]
     if not levels:
         raise ConfigurationError("a sweep needs at least one dropout level")
-    with _fields_of("config"):
-        return [_as(float, "p_list", p) for p in levels]
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -247,9 +247,31 @@ def test_log_with_a_negative_price_is_rejected():
         BidLog([1, 2], [0.1, 0.1], [0.1, 0.1], [5, -1], [0, 0], [0, 0])
 
 
+@pytest.mark.parametrize("n, price, ok", [
+    (3, 5 * 10**18, False), (1, 2**63 - 1, True), (2, 2**62, False), (2, 2**62 - 1, True),
+], ids=["three-of-5e18", "one-at-int64-max", "two-past-int64-max", "two-just-under-int64-max"])
+def test_log_whose_prices_could_total_past_int64_is_rejected(n, price, ok):
+    # the replay's cumulative cost is an int64 sum, which used to wrap to a negative cost
+    columns = (range(n), [1.0] * n, [1.0] * n, [price] * n, [1] * n, [1] * n)
+    if ok:
+        assert len(BidLog(*columns)) == n
+    else:
+        with pytest.raises(ConfigurationError, match=r"market prices could total more than "
+                                                     rf"2\*\*63 - 1: {n} rows, the largest {price}"):
+            BidLog(*columns)
+
+
 class TestSynthetic:
     def test_empty(self):
         assert len(generate_synthetic(SynthConfig(n_records=0))) == 0
+
+    @pytest.mark.parametrize("mean", [42.0, 50.0, 1000.0])
+    def test_prices_past_int64_rejected_before_the_cast(self, mean):
+        # a mean of 50 used to warn "invalid value encountered in cast" and then
+        # blame the prices (market prices must be >= 0)
+        with pytest.raises(ConfigurationError, match=f"price_log_mean {mean} and "
+                                                     f"price_log_sigma 0.8 draw market prices"):
+            generate_synthetic(SynthConfig(n_records=10, price_log_mean=mean))
 
     @pytest.mark.parametrize("field, message", [
         ("n_records", "n_records must be >= 0"),

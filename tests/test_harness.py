@@ -488,6 +488,62 @@ class TestCli:
         assert rc == 0
         assert out.read_text().splitlines()[1] == "10,0.01,0.02,70,0,0"
 
+    @pytest.mark.parametrize("previous", [None, b"old bytes\n"], ids=["absent", "present"])
+    def test_failed_convert_leaves_out_as_it_was(self, tmp_path, capsys, previous):
+        # --out used to keep the header and the rows before the bad one, a valid log
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("10\t0.01\t0.02\t70\t0\t0\n20\t0.03\t0.04\t80\t1\t1\n"
+                       "30\t0.05\t0.06\t-5\t0\t0\n")
+        out = tmp_path / "canonical.csv"
+        if previous is not None:
+            out.write_bytes(previous)
+        rc = main(["convert-ipinyou", "--in", str(raw), "--out", str(out),
+                   "--col-ts", "0", "--col-pctr", "1", "--col-pcvr", "2",
+                   "--col-price", "3", "--col-click", "4", "--col-conversion", "5"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: MalformedRow: line 3: negative market price -5\n"
+        assert (out.read_bytes() if out.exists() else None) == previous
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["raw.tsv"] + ["canonical.csv"] * (previous is not None))
+
+    def test_log_whose_prices_could_wrap_the_cost_is_one_line_error(self, tmp_path, capsys):
+        # used to exit 0 with three wins and a cost of -3446744073709551616
+        log = tmp_path / "big.csv"
+        log.write_text("ts,pctr,pcvr,market_price,click,conversion\n"
+                       + "".join(f"{ts},1.0,1.0,5000000000000000000,1,1\n" for ts in range(3)))
+        rc = main(["run", "--log", str(log), "--budget", "9000000000000000000",
+                   "--ppc-target", "1800", "--ppc-expected", "9000000000000000000",
+                   "--controller", "fixed", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: ConfigurationError: market prices could total more than 2**63 - 1: "
+            "3 rows, the largest 5000000000000000000\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_nested_past_the_recursion_limit_is_one_line_error(self, tmp_path, capsys):
+        # json.load used to raise RecursionError
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 200_000 + "]" * 200_000)
+        rc = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigurationError: config {config}: not a JSON document: ")
+        assert err.count("\n") == 1
+
+    # 10**15 rows are past the address space, so the allocation is refused
+    # before any memory is touched
+    @pytest.mark.parametrize("argv", [
+        ["run", "--synthetic", str(10**15), "--budget", "1000", "--ppc-target", "100"],
+        ["gen-synthetic", "--n", str(10**15)],
+    ], ids=["run", "gen-synthetic"])
+    def test_log_too_large_to_allocate_is_one_line_error(self, tmp_path, capsys, argv):
+        # numpy's _ArrayMemoryError used to end in a traceback
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MemoryError: Unable to allocate ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     # int() and float() read each of these; numpy's columnar reader reads none
     FIELD_TEXTS = pytest.mark.parametrize("column, text", [
         (0, "1_000"), (3, "1_0"), (1, "0.1_0"), (4, "\u0661"), (5, "\uff11"),
@@ -596,14 +652,14 @@ class TestCli:
         assert err.startswith("error: MalformedRow: line 2: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, doc, message", [
-        ("sweep-sparsity", {"p_list": 0.5}, "p_list must be a list"),
+        ("sweep-sparsity", {"p_list": 0.5}, "config: 'p_list' must be a list, got float"),
         ("run", [1], "must be a JSON object"),
-        ("run", {"log": 3, "sim": {"budget": 1}}, "config section 'log' must be an object"),
-        ("run", {"log": {"synthetic": {}}, "sim": [1]}, "config section 'sim' must be an object"),
-        ("run", {"sim": {"budget": 1}}, "config has no 'log' section"),
+        ("run", {**VALID_CONFIG, "log": 3}, "config section 'log': expected an object, got int"),
+        ("run", {**VALID_CONFIG, "sim": [1]}, "config section 'sim': expected an object, got list"),
+        ("run", {"sim": {"budget": 1}}, "config: missing field 'log'"),
         ("run", {**VALID_CONFIG, "sim": {"budget": "x"}},
          "config section 'sim': 'budget' must be an integer, got 'x'"),
-        ("run", {**VALID_CONFIG, "controllers": 7}, "config section 'controllers' must be a list"),
+        ("run", {**VALID_CONFIG, "controllers": 7}, "config: 'controllers' must be a list, got int"),
         ("run", {**VALID_CONFIG, "trials": "two"}, "config: 'trials' must be an integer, got 'two'"),
         ("run", {**VALID_CONFIG, "log": {"synthetic": {"n_rows": 5}}},
          "config section 'log': unknown key 'n_rows'"),
@@ -693,6 +749,14 @@ class TestCli:
          "ablation sets the mlp's feature_set itself; remove feature_set from its params"),
         ("sweep-sparsity", {**VALID_CONFIG, "sim": {"budget": 50_000, "dropout_p": 0.7}},
          "a sweep's dropout levels replace sim.dropout_p (--dropout)"),
+        ("run", {**VALID_CONFIG, "constraints": {
+            "ppc_expected": 1800, "kpis": {"kind": "ppc_target", "target": 1800}}},
+         "config section 'constraints': 'kpis' must be a list, got dict"),
+        ("run", {**VALID_CONFIG, "constraints": {"ppc_expected": 1800, "kpis": 5}},
+         "config section 'constraints': 'kpis' must be a list, got int"),
+        ("run", {**VALID_CONFIG, "constraints": {"kpis": VALID_CONFIG["constraints"]["kpis"]}},
+         "config section 'constraints': missing field 'ppc_expected'"),
+        ("run", {"command": "run", "spec": [1]}, "config: expected an object, got list"),
     ], ids=["p_list-not-list", "top-level-not-object", "log-not-object", "sim-not-object",
             "log-missing", "budget-not-int", "controllers-not-list", "trials-not-int",
             "unknown-synthetic-key", "unknown-controller-param", "unknown-kpi-kind",
@@ -707,7 +771,8 @@ class TestCli:
             "u-init-zero", "name-not-string", "name-with-carriage-return",
             "period-ms-in-count-mode", "period-bids-in-wall-clock-mode", "paced-without-budget",
             "paced-without-budget-missing-log", "pid-without-ppc-target-missing-log",
-            "feature-set-in-ablation", "dropout-in-sweep"])
+            "feature-set-in-ablation", "dropout-in-sweep", "kpis-object", "kpis-int",
+            "ppc-expected-missing", "manifest-spec-not-object"])
     def test_config_of_wrong_shape_is_one_line_error(self, tmp_path, monkeypatch, capsys,
                                                      command, doc, message):
         monkeypatch.chdir(tmp_path)
