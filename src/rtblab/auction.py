@@ -20,6 +20,10 @@ from .core import ConfigurationError, ConstraintSet, PeriodFeedback
 from .data import BidLog
 
 
+# wall-clock windows one campaign may walk; each costs a period, empty or not
+MAX_WINDOWS = 10**6
+
+
 class PeriodMode(Enum):
     COUNT = "count"            # fixed number of opportunities per period
     WALL_CLOCK = "wall_clock"  # fixed timestamp window per period
@@ -117,10 +121,10 @@ def _kept_indices(n: int, p: float, seed: int) -> np.ndarray:
 
 
 class PeriodController(Protocol):
-    """``begin_period`` sees the cumulative counters before the period;
-    ``end_period`` sees them after it, plus the period's own counters."""
+    """``begin_period`` gives the period's adjustment; ``end_period`` is handed
+    the cumulative counters after the period, plus the period's own counters."""
 
-    def begin_period(self, feedback: PeriodFeedback) -> float: ...
+    def begin_period(self) -> float: ...
     def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
                    elapsed_fraction: float = 1.0) -> None: ...
 
@@ -160,13 +164,20 @@ def run_campaign(log: BidLog, controller: PeriodController,
                  constraints: ConstraintSet, sim: SimConfig) -> CampaignResult:
     """Replay a full campaign: one controller decision per period, learning
     after each period, stopping at stream end or budget termination."""
+    if sim.period_mode is PeriodMode.WALL_CLOCK and len(log):
+        span = int(log.ts[-1]) - int(log.ts[0])
+        windows = span // sim.period_ms + 1
+        if windows > MAX_WINDOWS:
+            raise ConfigurationError(f"the log's {span} ms span cuts into {windows} windows of "
+                                     f"period_ms {sim.period_ms}; a campaign replays at most "
+                                     f"{MAX_WINDOWS}")
     log = apply_dropout(log, sim.dropout_p, sim.dropout_seed)
     n = len(log)
     cumulative = PeriodFeedback()
     trace: list[PeriodTrace] = []
     terminated = False
     for lo, hi in _period_bounds(log, sim):
-        u = controller.begin_period(cumulative)
+        u = controller.begin_period()
         delta = run_period(log.segment(lo, hi), u, constraints.ppc_expected,
                            cumulative.cost, sim.budget)
         cumulative = cumulative + delta

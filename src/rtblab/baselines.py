@@ -53,6 +53,7 @@ class PidController:
         self._ppc = constraints.find(KpiKind.PPC_TARGET)
         self.integral = 0.0
         self.prev_error = 0.0
+        self.cumulative = PeriodFeedback()  # as end_period last handed it over
 
     def step(self, error: float) -> float:
         """One PID update on a normalized error value."""
@@ -66,12 +67,12 @@ class PidController:
             return cfg.u_max
         return max(cfg.u_min, min(cfg.u_max, u))  # NaN goes to u_max
 
-    def begin_period(self, feedback: PeriodFeedback) -> float:
-        return self.step(self._ppc.normalized(feedback) - 1.0)
+    def begin_period(self) -> float:
+        return self.step(self._ppc.normalized(self.cumulative) - 1.0)
 
     def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
                    elapsed_fraction: float = 1.0) -> None:
-        pass
+        self.cumulative = feedback
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class FixedBidController:
     def check_constraints(self, constraints: ConstraintSet) -> None:
         """Any constraints do: the multiplier ignores them."""
 
-    def begin_period(self, feedback: PeriodFeedback) -> float:
+    def begin_period(self) -> float:
         return self.u_const
 
     def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,

@@ -195,7 +195,7 @@ def _normalized_step(w: np.ndarray, grad_log: deque, learning_rate: float) -> bo
 
 class MlpBidController:
     """The MLP controller of one campaign: its weights, the snapshots of the
-    last two periods it ran, and its gradient windows."""
+    last two periods it ran, its next input, and its gradient windows."""
 
     def __init__(self, constraints: ConstraintSet,
                  config: MlpControllerConfig | None = None):
@@ -211,8 +211,8 @@ class MlpBidController:
         self.w_dec = rng.uniform(-0.1, 0.1, size=config.hidden_dim)
         self.u_curr = self.u_prev = config.u_max / 2.0
         self.h_curr = np.zeros(config.hidden_dim)
-        self.h_prev = np.zeros(config.hidden_dim)
-        self.x_curr = np.zeros(dim)
+        zero = PeriodFeedback()  # the cumulative feedback before the first period
+        self.x_next = build_input(normalized_feedback(constraints, zero), zero, config.feature_set)
         # the previous period's own counters over targets, which the slope
         # estimate differences against; None until a period has ended
         self.resp_prev: Optional[Sequence[float]] = None
@@ -233,13 +233,13 @@ class MlpBidController:
         self.u_prev, self.u_curr = self.u_curr, u
         return h, u
 
-    def backward(self, feedback: PeriodFeedback, period: PeriodFeedback,
+    def backward(self, xhat: Sequence[float], period: PeriodFeedback,
                  elapsed_fraction: float = 1.0) -> tuple[np.ndarray, np.ndarray] | None:
         """Assemble the approximated gradients for both layers and log them.
 
-        ``feedback`` is the cumulative feedback after the period just run and
-        ``period`` that period's own counters.  The KPI error slope uses the
-        cumulative achieved values; the environment slope sign correlates each
+        ``xhat`` is the cumulative feedback after the period just run over its
+        targets, and ``period`` that period's own counters.  The KPI error
+        slope uses the cumulative values; the environment slope sign correlates each
         period's own response with the adjustment delta, since it is the
         per-period response that actually reacts to the current adjustment.
         Swaps this period's response into ``resp_prev``; with none before it
@@ -250,7 +250,6 @@ class MlpBidController:
         resp_prev, self.resp_prev = self.resp_prev, resp
         if resp_prev is None:
             return None
-        xhat = normalized_feedback(constraints, feedback)
         zhat = reference_vector(constraints, elapsed_fraction, config.budget_error_mode)
         chain = partial_j2(config.control_weight, self.u_curr, self.u_prev)
         for c, x, z, r, r_prev in zip(constraints.constraints, xhat, zhat, resp, resp_prev):
@@ -274,15 +273,15 @@ class MlpBidController:
             dec_applied=_normalized_step(self.w_dec, self.grad_log_dec, learning_rate),
         )
 
-    def begin_period(self, feedback: PeriodFeedback) -> float:
+    def begin_period(self) -> float:
         """Produce this period's adjustment from cumulative feedback so far."""
-        xhat = normalized_feedback(self.constraints, feedback)
-        _, u = self.forward(build_input(xhat, feedback, self.config.feature_set))
-        return u
+        return self.forward(self.x_next)[1]
 
     def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
                    elapsed_fraction: float = 1.0) -> None:
-        """Learn from the period just run.  The first period logs no
-        gradient, so its update leaves both matrices as they are."""
-        self.backward(feedback, period, elapsed_fraction)
+        """Learn from the period just run, and read the next input off ``feedback``.
+        The first period logs no gradient, so its update leaves both matrices as they are."""
+        xhat = normalized_feedback(self.constraints, feedback)
+        self.backward(xhat, period, elapsed_fraction)
         self.apply_update()
+        self.x_next = build_input(xhat, feedback, self.config.feature_set)

@@ -335,8 +335,10 @@ def spec_from_dict(d: Mapping, trials: int = ExperimentSpec.trials) -> Experimen
         sim = _read(SimConfig, d["sim"], ["budget"])
     controllers = []
     for i, c in enumerate(controllers_d):
-        with _fields_of(f"config controller {i}"):
-            controllers.append(ControllerSpec(**_known(c, ("kind", "name", "params"), ["kind"])))
+        with _fields_of(f"config controller {i}"):  # its shape, kind and name
+            c = _known(c, ("kind", "name", "params"), ["kind"])
+            cspec = ControllerSpec(**{**c, "params": {}})
+        controllers.append(replace(cspec, params=c.get("params", {})))  # a params error names it
     with _fields_of("config section 'constraints'"):
         cons = _known(d["constraints"], ("kpis", "ppc_expected"), ["kpis", "ppc_expected"])
         kpis = tuple(_read(KpiConstraint, kpi, ["kind", "target"])

@@ -101,6 +101,28 @@ def mask_dropout(log: BidLog, p: float, seed: int) -> BidLog:
     return log.filter(np.random.default_rng(seed).random(len(log)) >= p)
 
 
+class Stopped(Exception):
+    pass
+
+
+class StopAt:
+    """A fixed-bid controller that raises Stopped when period ``limit``
+    begins, so that a replay which walks too many windows fails instead of
+    hanging."""
+
+    def __init__(self, limit: int):
+        self.limit, self.periods = limit, 0
+
+    def begin_period(self) -> float:
+        self.periods += 1
+        if self.periods == self.limit:
+            raise Stopped
+        return 1.0
+
+    def end_period(self, feedback, period, elapsed_fraction=1.0) -> None:
+        pass
+
+
 def make_log(rows) -> BidLog:
     """rows: iterable of (ts, pctr, pcvr, price, click, conversion)."""
     return BidLog.from_records(rows)

@@ -30,7 +30,7 @@ from rtblab import (
     run_experiment,
     sweep_sparsity,
 )
-from rtblab.controller import partial_j1, partial_j2, sigmoid_layer_grads
+from rtblab.controller import normalized_feedback, partial_j1, partial_j2, sigmoid_layer_grads
 from rtblab.harness import spec_from_dict, spec_to_dict
 from support import max_price, records
 
@@ -111,7 +111,7 @@ def test_02_one_dimensional_chain_oracle():
         state.x_curr, state.resp_prev = x.copy(), np.array([resp_prev])
         fb = PeriodFeedback(conversions=conv, cost=cost)
         period = PeriodFeedback(conversions=conv - conv_prev, cost=cost - cost_prev)
-        g_enc, g_dec = state.backward(fb, period)
+        g_enc, g_dec = state.backward(normalized_feedback(constraints, fb), period)
 
         # independent fully written-out scalar chain
         def sgn(v):
@@ -145,8 +145,8 @@ def test_03_normalized_step_over_500_periods():
     violations = 0
 
     class Audit:
-        def begin_period(self, fb):
-            return controller.begin_period(fb)
+        def begin_period(self):
+            return controller.begin_period()
 
         def end_period(self, fb, period, elapsed_fraction=1.0):
             nonlocal applied, violations

@@ -20,11 +20,13 @@ from rtblab import (
     run_campaign,
     run_period,
 )
-from rtblab.auction import _kept_indices
+from rtblab.auction import MAX_WINDOWS, _kept_indices
 from rtblab.harness import _trace_rows
 from support import (
     AuctionOutcome,
     BidRecord,
+    StopAt,
+    Stopped,
     cost_value,
     kpi_error,
     make_log,
@@ -360,7 +362,7 @@ class TestControllerWiring:
         seen = []
 
         class Probe:
-            def begin_period(self, feedback):
+            def begin_period(self):
                 return 0.5
 
             def end_period(self, feedback, period, elapsed_fraction=1.0):
@@ -376,7 +378,7 @@ class TestControllerWiring:
         seen = []
 
         class Recorder:
-            def begin_period(self, feedback):
+            def begin_period(self):
                 return (0.5, 0.9, 0.2)[len(seen) % 3]
 
             def end_period(self, feedback, period, elapsed_fraction=1.0):
@@ -423,6 +425,27 @@ class TestControllerWiring:
 
 
 class TestWallClockPeriods:
+    def test_span_of_billions_of_windows_is_refused(self):
+        log = make_log([(0, 0.1, 0.1, 5, 0, 0), (4 * 10**15, 0.1, 0.1, 5, 0, 0)])
+        sim = SimConfig(budget=100, period_mode=PeriodMode.WALL_CLOCK, period_ms=900_000)
+        controller = StopAt(10_000)
+        with pytest.raises(ConfigurationError) as exc:
+            run_campaign(log, controller, CONSTRAINTS, sim)
+        assert str(exc.value) == ("the log's 4000000000000000 ms span cuts into 4444444445 "
+                                  "windows of period_ms 900000; a campaign replays at most 1000000")
+        assert controller.periods == 0
+
+    @pytest.mark.parametrize("windows", [MAX_WINDOWS, MAX_WINDOWS + 1])
+    def test_window_cap_counts_from_the_first_row(self, windows):
+        # the last row opens window number `windows`, counted from ts[0] = 7;
+        # the dropout drops that row, so the cap counts the log before dropout
+        log = make_log([(7, 0.1, 0.1, 5, 0, 0), (7 + (windows - 1) * 10, 0.1, 0.1, 5, 0, 0)])
+        sim = SimConfig(budget=10**9, period_mode=PeriodMode.WALL_CLOCK, period_ms=10,
+                        dropout_p=0.5)
+        expected = Stopped if windows <= MAX_WINDOWS else ConfigurationError
+        with pytest.raises(expected):
+            run_campaign(log, StopAt(1), CONSTRAINTS, sim)
+
     def test_batches_follow_time_windows(self):
         # 1ms gaps; 10ms windows -> 10 records per period
         log = make_log([(i, 0.1, 0.1, 5, 0, 0) for i in range(1, 31)])

@@ -76,11 +76,15 @@ class TestPid:
     def test_tracks_ppc_error_from_feedback(self):
         c = pid()
         # achieved PPC 3600 vs target 1800: error +1 lowers the multiplier
-        u = c.begin_period(feedback(conv=1, cost=3600))
+        fb = feedback(conv=1, cost=3600)
+        c.end_period(fb, fb)
+        u = c.begin_period()
         assert u < 0.5
         c2 = pid()
         # under target raises it
-        u2 = c2.begin_period(feedback(conv=4, cost=3600))
+        fb2 = feedback(conv=4, cost=3600)
+        c2.end_period(fb2, fb2)
+        u2 = c2.begin_period()
         assert u2 > 0.5
 
     def test_requires_ppc_constraint(self):
@@ -116,11 +120,11 @@ class TestFixed:
     def test_constant_output(self):
         c = FixedBidController(0.5)
         for _ in range(5):
-            assert c.begin_period(feedback()) == 0.5
+            assert c.begin_period() == 0.5
             c.end_period(feedback(), feedback(), 0.5)
 
     def test_default_is_original_price_replay(self):
-        assert FixedBidController().begin_period(feedback()) == 1.0
+        assert FixedBidController().begin_period() == 1.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):

@@ -1,3 +1,4 @@
+import inspect
 import math
 from collections import deque
 
@@ -11,13 +12,16 @@ from rtblab import (
     ConfigurationError,
     ConstraintSet,
     FeatureSet,
+    FixedBidController,
     MlpBidController,
     MlpControllerConfig,
+    PidController,
     SimConfig,
     SynthConfig,
     generate_synthetic,
     run_campaign,
 )
+from rtblab.auction import PeriodController
 from rtblab.controller import (
     _normalized_step,
     approx_dhdwe,
@@ -343,7 +347,8 @@ class TestBackward:
         state = make_controller([[0.1, 0.2]], [0.3], u_curr=0.5, u_prev=0.5,
                                 h_curr=[1.0], h_prev=[0.5], x_curr=[1.0, 1.0],
                                 resp_prev=[1.0], config=config)
-        g_enc, g_dec = state.backward(fb, feedback(conv=6, cost=10_800))
+        g_enc, g_dec = state.backward(normalized_feedback(SINGLE, fb),
+                                      feedback(conv=6, cost=10_800))
         assert np.all(g_enc == 0.0) and np.all(g_dec == 0.0)
 
     def test_matches_hand_expansion_1d(self):
@@ -367,8 +372,9 @@ class TestBackward:
             state = make_controller([[0.1, 0.1]], [wd], u_curr=u, u_prev=up,
                                     h_curr=[h], h_prev=[hp], x_curr=x,
                                     resp_prev=[resp_prev], constraints=constraints, config=config)
-            g_enc, g_dec = state.backward(feedback(conv=conv, cost=cost),
-                                          feedback(conv=conv - conv_prev, cost=cost - cost_prev))
+            xhat = normalized_feedback(constraints, feedback(conv=conv, cost=cost))
+            g_enc, g_dec = state.backward(xhat, feedback(conv=conv - conv_prev,
+                                                         cost=cost - cost_prev))
             ref_enc, ref_dec = hand_expanded_1d(q, r, 1800, cost, conv, cost_prev, conv_prev,
                                                 resp_prev, u, up, wd, h, hp, x, u_max)
             assert np.allclose(g_enc, ref_enc, rtol=1e-12, atol=1e-12)
@@ -382,7 +388,8 @@ class TestBackward:
         state = make_controller([[0.1, 0.1]], [0.4], u_curr=0.7, u_prev=0.5,
                                 h_curr=[1.2], h_prev=[0.8], x_curr=[1.0, 0.5],
                                 resp_prev=[0.2], constraints=constraints, config=config)
-        g_enc, g_dec = state.backward(feedback(conv=1, cost=9000), feedback(conv=1, cost=9000))
+        g_enc, g_dec = state.backward(normalized_feedback(constraints, feedback(conv=1, cost=9000)),
+                                      feedback(conv=1, cost=9000))
         chain = partial_j2(2.0, 0.7, 0.5)
         du_dh, du_dwd = sigmoid_layer_grads(np.array([0.4]), np.array([1.2]), 1.0)
         hebb = approx_dhdwe(np.array([1.0, 0.5]), np.array([1.2]), np.array([0.8]), 0.7, 0.5)
@@ -395,7 +402,8 @@ class TestBackward:
                                 h_curr=[1.2], h_prev=[0.8], x_curr=[1.0, 0.5],
                                 resp_prev=[0.2], config=config)
         for _ in range(3):
-            state.backward(feedback(conv=1, cost=9000), feedback(conv=1, cost=9000))
+            state.backward(normalized_feedback(SINGLE, feedback(conv=1, cost=9000)),
+                           feedback(conv=1, cost=9000))
         assert len(state.grad_log_enc) == 2  # ring buffer caps at the window
         assert len(state.grad_log_dec) == 2
 
@@ -467,7 +475,7 @@ class TestInit:
 
     def test_initial_adjustment_near_midpoint(self):
         controller = MlpBidController(MULTI, MlpControllerConfig(rng_seed=5))
-        u = controller.begin_period(feedback())
+        u = controller.begin_period()
         assert 0.3 < u < 0.7
 
     def test_weights_small(self):
@@ -478,7 +486,7 @@ class TestInit:
 
 def _drive(controller, fb_sequence):
     for fb_before, fb_after, fb_period, elapsed in fb_sequence:
-        controller.begin_period(fb_before)
+        controller.begin_period()
         controller.end_period(fb_after, fb_period, elapsed)
 
 
@@ -519,7 +527,7 @@ class TestControllerLoop:
             period = feedback(bids=1000, imp=900, clk=0, conv=0,
                               cost=5_000_000, sum_pctr=100.0, sum_pcvr=300.0)
             total = total + period
-            us.append(c.begin_period(before))
+            us.append(c.begin_period())
             c.end_period(total, period, (k + 1) / 200)
         assert all(0.0 < u < 0.8 for u in us)
 
@@ -527,7 +535,7 @@ class TestControllerLoop:
         c = MlpBidController(MULTI, MlpControllerConfig(rng_seed=4))
         for fb_before, fb_after, fb_period, elapsed in _synthetic_feedback_walk(5, periods=80):
             w_enc, w_dec = c.w_enc.copy(), c.w_dec.copy()
-            c.begin_period(fb_before)
+            c.begin_period()
             c.end_period(fb_after, fb_period, elapsed)
             for before, after in ((w_enc, c.w_enc), (w_dec, c.w_dec)):
                 step = np.linalg.norm(after - before)
@@ -537,12 +545,36 @@ class TestControllerLoop:
     def test_first_period_skips_update(self):
         c = MlpBidController(SINGLE, MlpControllerConfig(rng_seed=6))
         w_enc = c.w_enc.copy()
-        c.begin_period(feedback())
+        c.begin_period()
         fb = feedback(imp=10, clk=2, conv=1, cost=900, bids=100)
         c.end_period(fb, fb, 0.1)
         assert np.array_equal(c.w_enc, w_enc)
         assert c.resp_prev is not None
         assert not c.grad_log_enc and not c.grad_log_dec
+
+
+class TestPeriodProtocol:
+    def test_normalizes_each_cumulative_once(self, monkeypatch):
+        # end_period reads the cumulative and the period's own counters, one
+        # call each; begin_period reuses the input end_period built
+        calls = []
+
+        def counted(constraints, fb):
+            calls.append(fb)
+            return normalized_feedback(constraints, fb)
+
+        monkeypatch.setattr("rtblab.controller.normalized_feedback", counted)
+        controller = MlpBidController(MULTI, MlpControllerConfig(rng_seed=8))
+        assert len(calls) == 1
+        log = generate_synthetic(SynthConfig(n_records=2000, seed=8))
+        result = run_campaign(log, controller, MULTI, SimConfig(budget=100_000, period_bids=100))
+        assert len(result.trace) > 3
+        assert len(calls) == 1 + 2 * len(result.trace)
+
+    @pytest.mark.parametrize("cls", [PeriodController, MlpBidController, PidController,
+                                     FixedBidController])
+    def test_begin_period_takes_no_feedback(self, cls):
+        assert list(inspect.signature(cls.begin_period).parameters) == ["self"]
 
 
 def test_directional_sanity_under_budget_pressure():

@@ -187,6 +187,15 @@ class TestFromCsv:
         assert outcome == _outcome(lambda: _streamed(path))
         assert outcome[0] is MalformedRow and outcome[1].startswith("line 2: ")
 
+    def test_bad_header_is_the_streaming_parsers_line_1_error(self, tmp_path):
+        # the column-wise reader gives up at the header; the streaming parser names it
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"ts,pctr,pcvr,price,click,conversion\n10,0.5,0.5,100,1,1\n")
+        with pytest.raises(MalformedRow) as err:
+            BidLog.from_csv(path)
+        assert str(err.value) == ("line 1: bad header 'ts,pctr,pcvr,price,click,conversion', "
+                                  f"expected {CANONICAL_HEADER!r}")
+
     @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
     def test_header_only_is_empty_without_warning(self, tmp_path, body):
         path = tmp_path / "log.csv"

@@ -45,7 +45,7 @@ from rtblab import cli
 from rtblab.cli import build_parser, main
 from rtblab.harness import (PRESETS, _metrics_row, derive_seed, levels_from_dict, spec_from_dict,
                             spec_to_dict)
-from support import feedback, naive_replay, records
+from support import StopAt, feedback, naive_replay, records
 
 CONSTRAINTS = ConstraintSet.single_ppc(1800)
 # The acceptance suite's dense environment, where the controllers have authority.
@@ -641,6 +641,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: MalformedRow: line {line}: ") and err.count("\n") == 1
 
+    def test_wall_clock_log_of_too_many_windows_is_one_line_error(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # 4.4e9 empty 15-minute windows used to be walked one by one
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("rtblab.harness.build_controller", lambda *args: StopAt(10_000))
+        log = tmp_path / "two.csv"
+        log.write_text("ts,pctr,pcvr,market_price,click,conversion\n"
+                       "0,0.5,0.5,10,0,0\n4000000000000000,0.5,0.5,10,0,0\n")
+        rc = main(["run", "--log", str(log), "--budget", "100", "--ppc-target", "100",
+                   "--period-ms", "900000", "--controller", "fixed"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigurationError: the log's 4000000000000000 ms "
+                                       "span cuts into 4444444445 windows")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["two.csv"]
+
     def test_non_utf8_convert_input_is_one_line_error(self, tmp_path, capsys):
         raw = tmp_path / "raw.tsv"
         raw.write_bytes(b"10\t0.01\t0.02\t70\t0\t0\n20\t0.0\xff\t0.04\t80\t1\t1\n")
@@ -664,7 +681,9 @@ class TestCli:
         ("run", {**VALID_CONFIG, "log": {"synthetic": {"n_rows": 5}}},
          "config section 'log': unknown key 'n_rows'"),
         ("run", {**VALID_CONFIG, "controllers": [{"kind": "mlp", "params": {"hiden_dim": 4}}]},
-         "controller 'mlp': unknown key 'hiden_dim'"),
+         "error: ConfigurationError: controller 'mlp': unknown key 'hiden_dim'; known keys: "
+         "hidden_dim, learning_rate, grad_window, control_weight, u_max, feature_set, "
+         "budget_error_mode, rng_seed\n"),  # the whole line: it names its place once
         ("run", {**VALID_CONFIG, "constraints": {"ppc_expected": 1800,
                                                  "kpis": [{"kind": "nope", "target": 1}]}},
          "config section 'constraints': 'nope' is not a valid KpiKind"),
