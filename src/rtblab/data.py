@@ -4,13 +4,16 @@ The canonical log is a UTF-8 comma-delimited file with header
 ``ts,pctr,pcvr,market_price,click,conversion``: integer millisecond
 timestamps (nondecreasing), probabilities with up to six fraction digits,
 integer fen prices, 0/1 labels, each field ASCII with no ``_``
-separators.  ``BidLog.from_csv`` reads a log
-columnar, with numpy's C reader and whole-column checks, so its memory is
-proportional to the row count; ``parse_canonical`` is the streaming
-(constant-memory) parser and the error oracle: it yields each row as a
-``(ts, pctr, pcvr, market_price, click, conversion)`` tuple, and any file
-the columnar reader does not accept is re-read by it, which raises the
-first bad row with its line number.  The replay-facing ``BidLog`` is a
+separators.  ``BidLog.from_csv`` reads a log columnar, with numpy's C
+reader (given the path, so it reads the file in chunks) and whole-column
+checks, so its memory is proportional to the row count;
+``parse_canonical`` is the streaming (constant-memory) parser and the
+error oracle: it yields each row as a ``(ts, pctr, pcvr, market_price,
+click, conversion)`` tuple, and any file the columnar reader does not
+accept is re-read by it, which raises the first bad row with its line
+number.  ``serialize_canonical`` is the array writer: it writes the bytes
+of ``"%d,%.6f,%.6f,%d,%d,%d"`` per row, but formats each chunk of rows as
+one byte array by numpy arithmetic.  The replay-facing ``BidLog`` is a
 column-oriented view built once per run.
 """
 from __future__ import annotations
@@ -32,6 +35,11 @@ _CANONICAL_DTYPE = np.dtype([("ts", np.int64), ("pctr", np.float64), ("pcvr", np
                              ("conversion", np.int64)])
 _INT64 = np.iinfo(np.int64)
 _SERIALIZE_CHUNK_ROWS = 1 << 16
+# The writer's digit arithmetic stays in uint64: numpy turns uint64 mixed
+# with int64 into float64.  An int64's magnitude is at most 2**63 < 10**19.
+_POW10 = np.array([10 ** j for j in range(19)], dtype=np.uint64)
+_TEN, _ZERO = np.uint64(10), np.uint8(ord("0"))
+_PAD = 0  # a byte no field holds
 _SCAN_CHUNK_BYTES = 1 << 20
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
@@ -112,16 +120,69 @@ def parse_canonical(stream: Iterable[str]) -> Iterator[tuple]:
         yield row
 
 
+def _digits(magnitudes: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` lowest decimal digits of each uint64 as ASCII, one column
+    per value, the most significant digit in row 0."""
+    digits = np.empty((width, len(magnitudes)), dtype=np.uint8)
+    for row in range(width - 1, -1, -1):
+        quotient = magnitudes // _TEN
+        np.subtract(magnitudes, quotient * _TEN, out=digits[row], casting="unsafe")
+        magnitudes = quotient
+    digits += _ZERO
+    return digits
+
+
+def _integer_bytes(values: np.ndarray) -> np.ndarray:
+    """``"%d"`` of each int64, one column per value, right-aligned in the
+    widest value's rows and padded above with ``_PAD``."""
+    negative = values < 0
+    magnitudes = np.abs(values).view(np.uint64)  # abs(int64 min) wraps to itself: 2**63
+    ndigits = np.maximum(np.searchsorted(_POW10, magnitudes, side="right"), 1)
+    width = int((ndigits + negative).max())
+    field = _digits(magnitudes, width)
+    place = np.arange(width - 1, -1, -1)[:, None]
+    field[place >= ndigits] = _PAD
+    field[negative & (place == ndigits)] = ord("-")
+    return field
+
+
+def _fraction_bytes(values: np.ndarray) -> np.ndarray:
+    """``"%.6f"`` of each float64 in [0, 1], one column per value: a row for
+    the sign (``_PAD`` unless the value is -0.0), then ``d.dddddd``."""
+    scaled = values * 1e6
+    # fl(x * 1e6) lies within 2**-34 of x * 1e6, so rint rounds it to "%.6f"'s
+    # digit unless its fraction is near one half (exact ties such as 1/128
+    # among them); those few take their digits from "%.6f" itself.
+    k = np.rint(scaled)
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) < 2.0 ** -20
+    k[near_half] = [float(("%.6f" % x).replace(".", "")) for x in values[near_half].tolist()]
+    digits = _digits(k.astype(np.uint64), 7)
+    field = np.empty((9, len(values)), dtype=np.uint8)
+    field[0] = np.where(np.signbit(values), ord("-"), _PAD)
+    field[1] = digits[0]
+    field[2] = ord(".")
+    field[3:] = digits[1:]
+    return field
+
+
 def serialize_canonical(log: BidLog, stream) -> None:
-    """Write a log in the canonical format (probabilities at 6 fraction digits)."""
+    """Write a log in the canonical format, byte for byte as
+    ``"%d,%.6f,%.6f,%d,%d,%d\\n" % row`` would: each chunk of rows is laid
+    out as one byte array of fixed-width fields, whose pad bytes are
+    dropped before the chunk is written as one string."""
     stream.write(CANONICAL_HEADER + "\n")
     for lo in range(0, len(log), _SERIALIZE_CHUNK_ROWS):
         hi = lo + _SERIALIZE_CHUNK_ROWS
-        rows = zip(log.ts[lo:hi].tolist(), log.pctr[lo:hi].tolist(), log.pcvr[lo:hi].tolist(),
-                   log.market_price[lo:hi].tolist(), log.click[lo:hi].tolist(),
-                   log.conversion[lo:hi].tolist())
-        # %-formatting renders exactly as f"{p:.6f}" and is faster per row.
-        stream.write("".join(["%d,%.6f,%.6f,%d,%d,%d\n" % row for row in rows]))
+        n = min(hi, len(log)) - lo
+        comma = np.full((1, n), ord(","), dtype=np.uint8)
+        columns = np.concatenate([
+            _integer_bytes(log.ts[lo:hi]), comma, _fraction_bytes(log.pctr[lo:hi]), comma,
+            _fraction_bytes(log.pcvr[lo:hi]), comma, _integer_bytes(log.market_price[lo:hi]),
+            comma, log.click[None, lo:hi].view(np.uint8) + _ZERO, comma,
+            log.conversion[None, lo:hi].view(np.uint8) + _ZERO,
+            np.full((1, n), ord("\n"), dtype=np.uint8)])
+        rows = np.ascontiguousarray(columns.T)
+        stream.write(rows[rows != _PAD].tobytes().decode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -228,6 +289,12 @@ class BidLog:
         self.market_price = np.asarray(market_price, dtype=np.int64)
         self.click = np.asarray(click, dtype=bool)
         self.conversion = np.asarray(conversion, dtype=bool)
+        for name, column in (("pctr", self.pctr), ("pcvr", self.pcvr)):
+            outside = ~((column >= 0.0) & (column <= 1.0))  # NaN fails both
+            if outside.any():
+                row = int(np.argmax(outside))
+                raise ConfigurationError(f"predictions must lie in [0, 1], got "
+                                         f"{name}={column[row]} at row {row}")
         # The replay relies on both: cumulative cost never decreases within a
         # batch, and its int64 cumulative sum cannot wrap around.
         if np.any(self.market_price < 0):
@@ -284,17 +351,20 @@ class BidLog:
             if any(sep in chunk for chunk in iter(lambda: fh.read(_SCAN_CHUNK_BYTES), b"")
                    for sep in _SEPARATORS):
                 return None
-        with open(path, "r", encoding="ascii") as fh:
-            try:  # a byte that is not ASCII raises UnicodeDecodeError, a ValueError
+        # Given a path, numpy reads the file in chunks (given a handle, line by
+        # line), but it also opens a .gz, .bz2 or .xz file decompressed.  The
+        # scan above and the header check below read the raw bytes, which a
+        # compressed file fails, so it still gets the streaming parser's error.
+        try:  # a byte that is not ASCII raises UnicodeDecodeError, a ValueError
+            with open(path, "r", encoding="ascii") as fh:
                 if fh.readline().rstrip("\r\n") != CANONICAL_HEADER:
                     return None
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                            UserWarning)
-                    rows = np.loadtxt(fh, delimiter=",", dtype=_CANONICAL_DTYPE,
-                                      comments=None, ndmin=1)
-            except ValueError:
-                return None
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(path, delimiter=",", dtype=_CANONICAL_DTYPE, comments=None,
+                                  skiprows=1, encoding="ascii", ndmin=1)
+        except ValueError:
+            return None
         ts, pctr, pcvr = rows["ts"], rows["pctr"], rows["pcvr"]
         price, click, conversion = rows["market_price"], rows["click"], rows["conversion"]
         # The predicates of _parse_row, column-wise; NaN fails the range test.

@@ -14,6 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from rtblab import BidLog, BudgetErrorMode, KpiKind, PeriodFeedback
+from rtblab.data import CANONICAL_HEADER
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,13 @@ def records(log: BidLog) -> Iterator[BidRecord]:
             market_price=int(log.market_price[i]),
             click=bool(log.click[i]), conversion=bool(log.conversion[i]),
         )
+
+
+def canonical_text(log: BidLog) -> str:
+    """A log in the canonical format, written one ``%`` format per row."""
+    rows = zip(log.ts.tolist(), log.pctr.tolist(), log.pcvr.tolist(),
+               log.market_price.tolist(), log.click.tolist(), log.conversion.tolist())
+    return CANONICAL_HEADER + "\n" + "".join(["%d,%.6f,%.6f,%d,%d,%d\n" % row for row in rows])
 
 
 def max_price(log: BidLog) -> int:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import itertools
+import math
 import warnings
 from dataclasses import astuple
 
@@ -24,7 +25,7 @@ from rtblab import (
 )
 from rtblab.cli import main
 from rtblab.data import CANONICAL_HEADER
-from support import records
+from support import canonical_text, records
 
 
 HEADER = CANONICAL_HEADER + "\n"
@@ -236,6 +237,20 @@ class TestRoundTrip:
         serialize_canonical(BidLog.from_records(rows), buf2)
         assert buf2.getvalue() == text
 
+    def test_round_trip_past_a_chunk_reads_columnar(self, tmp_path, monkeypatch):
+        # 140,000 rows cross the writer's 65,536-row chunks and numpy's read chunks
+        log = generate_synthetic(SynthConfig(n_records=140_000, seed=21))
+        path = tmp_path / "log.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            serialize_canonical(log, fh)
+        assert path.read_text(encoding="utf-8") == canonical_text(log)
+
+        def refuse(stream):
+            raise AssertionError("fell back to the streaming parser")
+
+        monkeypatch.setattr("rtblab.data.parse_canonical", refuse)
+        assert _outcome(lambda: BidLog.from_csv(path)) == _outcome(lambda: log)
+
     # sha256 of `gen-synthetic` output for GOLDEN_ARGS, pinned when records
     # were still written one at a time; clipped predictions (1.000000 and
     # 0.000001) occur in it.
@@ -248,6 +263,52 @@ class TestRoundTrip:
         out = tmp_path / "log.csv"
         assert main(["gen-synthetic", *self.GOLDEN_ARGS, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_SHA256
+
+
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+
+
+def _rounding_edges(k: int, offset: float, ulps: int) -> float:
+    """k / 10**6 plus ``offset``, moved by ``ulps`` (-1, 0 or 1) units in the last place."""
+    x = k / 1e6 + offset
+    return math.nextafter(x, math.copysign(math.inf, ulps)) if ulps else x
+
+
+_PREDICTIONS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.integers(0, 128).map(lambda j: j / 128),  # exact ties of "%.6f"
+    st.builds(_rounding_edges, st.integers(0, 10**6), st.sampled_from([0.0, -5e-7, 5e-7]),
+              st.integers(-1, 1)).filter(lambda x: 0.0 <= x <= 1.0),
+    st.floats(0.0, 1.0),
+)
+_TIMESTAMPS = st.one_of(st.sampled_from([_INT64_MIN, _INT64_MAX, -1, 0, 9, 10]),
+                        st.integers(-10**6, 10**6), st.integers(_INT64_MIN, _INT64_MAX))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_writer_matches_the_per_row_format(data):
+    n = data.draw(st.integers(0, 30), label="n")
+    top = _INT64_MAX // max(n, 1)  # BidLog's int64-total rule
+    rows = data.draw(st.lists(st.tuples(
+        _TIMESTAMPS, _PREDICTIONS, _PREDICTIONS,
+        st.one_of(st.sampled_from([0, top]), st.integers(0, 10**6), st.integers(0, top)),
+        st.booleans(), st.booleans()), min_size=n, max_size=n), label="rows")
+    log = BidLog.from_records(rows)
+    buf = io.StringIO()
+    serialize_canonical(log, buf)
+    assert buf.getvalue() == canonical_text(log)
+
+
+@pytest.mark.parametrize("pctr, pcvr, shown", [
+    (1.5, 0.5, "pctr=1.5"), (0.5, -0.25, "pcvr=-0.25"), (math.nan, 0.5, "pctr=nan"),
+    (0.5, math.inf, "pcvr=inf"),
+])
+def test_log_with_a_prediction_outside_0_1_is_rejected(pctr, pcvr, shown):
+    # both readers refuse such a row; a log built in Python used to replay it
+    with pytest.raises(ConfigurationError) as err:
+        BidLog([1, 2], [0.5, pctr], [0.5, pcvr], [5, 5], [0, 0], [0, 0])
+    assert str(err.value) == f"predictions must lie in [0, 1], got {shown} at row 1"
 
 
 def test_log_with_a_negative_price_is_rejected():
