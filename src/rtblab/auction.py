@@ -91,33 +91,57 @@ def run_period(batch: BidLog, u: float, ppc_expected: float,
     )
 
 
+# The one slot of apply_dropout: (log, p, seed, thinned copy), or empty.
+_thinned: list[tuple[BidLog, float, int, BidLog]] = []
+
+
 def apply_dropout(log: BidLog, p: float, seed: int) -> BidLog:
     """Independently keep each record with probability 1-p (seeded).
 
     Returns ``log`` itself at p = 0, otherwise a thinned copy gathered by
     the kept row indices.  Record i is kept when the i-th draw of
-    ``default_rng(seed).random(len(log))`` is >= p.  That mask depends only
-    on (len(log), p, seed), so every controller in a trial replays the
-    identical thinned stream, and the last mask drawn is reused rather
-    than drawn again.
+    ``default_rng(seed).random(len(log))`` is >= p.  The copy is read-only
+    and kept in one slot, keyed by (log identity, p, seed), so every
+    controller of a sweep cell replays the copy the first one gathered.
+    The slot holds at most one copy, and the log it was gathered from,
+    until the next call with another key or :func:`forget_dropout`.
     """
     if not (0.0 <= p <= 1.0):
         raise ConfigurationError("dropout probability must lie in [0, 1]")
     if p == 0.0:
         return log
-    return log.filter(_kept_indices(len(log), p, seed))
+    if _thinned:
+        last_log, last_p, last_seed, last = _thinned[0]
+        if last_log is log and last_p == p and last_seed == seed:
+            return last
+    forget_dropout()  # the old copy goes before the new one is gathered
+    kept = log.filter(_kept_indices(len(log), p, seed))
+    for name in BidLog.__slots__:
+        getattr(kept, name).flags.writeable = False
+    _thinned.append((log, p, seed, kept))
+    return kept
+
+
+def forget_dropout() -> None:
+    """Empty apply_dropout's slot, letting go of its copy and log."""
+    _thinned.clear()
 
 
 @lru_cache(maxsize=1)
-def _kept_indices(n: int, p: float, seed: int) -> np.ndarray:
-    """Ascending indices of the records a (n, p, seed) dropout keeps.
+def _uniforms(n: int, seed: int) -> np.ndarray:
+    """The n uniforms a dropout seeded by ``seed`` thresholds.
 
-    Cached: the controllers of one sweep cell ask for the same mask in
-    turn.  The array is read-only because every caller shares it.
+    Cached: the levels of one sweep trial threshold the same draw in turn.
+    The array is read-only because every caller shares it.
     """
-    kept = np.flatnonzero(np.random.default_rng(seed).random(n) >= p)
-    kept.flags.writeable = False
-    return kept
+    draw = np.random.default_rng(seed).random(n)
+    draw.flags.writeable = False
+    return draw
+
+
+def _kept_indices(n: int, p: float, seed: int) -> np.ndarray:
+    """Ascending indices of the records a (n, p, seed) dropout keeps."""
+    return np.flatnonzero(_uniforms(n, seed) >= p)
 
 
 class PeriodController(Protocol):

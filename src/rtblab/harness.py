@@ -18,7 +18,7 @@ from typing import Collection, Iterator, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .auction import CampaignResult, SimConfig, run_campaign
+from .auction import CampaignResult, SimConfig, _uniforms, forget_dropout, run_campaign
 from .baselines import FixedBidController, PidConfig, PidController
 from .controller import FeatureSet, MlpBidController, MlpControllerConfig
 from .core import ConfigurationError, ConstraintSet, KpiConstraint, KpiKind, PeriodFeedback
@@ -139,25 +139,41 @@ def load_log(spec: ExperimentSpec) -> BidLog:
 def _cells(spec: ExperimentSpec,
            conditions: Sequence[tuple[SimConfig, Sequence[ControllerSpec]]]) -> Iterator[tuple]:
     """Replay every cell of the ``(sim, controllers)`` conditions; yield
-    ``(position, trial, cspec, result)`` in condition -> trial -> controller
+    ``(position, trial, cspec, result)`` in trial -> condition -> controller
     order, ``position`` being the condition's index in ``conditions``.
 
     Each trial replays its condition's ``sim`` with only ``dropout_seed``
     set.  The dropout mask of a trial is seeded by (base_seed, trial)
-    alone, so all controllers of a trial, and all levels of a sweep, share
-    its uniforms.  The controller at position ``idx`` is seeded by
-    (``params.rng_seed`` if given, else base_seed, trial, idx), so the
-    ablation reuses the same seeds across feature sets.  The controllers
-    of one (condition, trial) run back to back to share the cached mask.
+    alone, so all levels of a sweep threshold the trial's one cached draw
+    of uniforms, and the controllers of a (condition, trial), which run
+    back to back, replay the one thinned copy the first of them gathered.
+    The controller at position ``idx`` is seeded by (``params.rng_seed``
+    if given, else base_seed, trial, idx), so the ablation reuses the same
+    seeds across feature sets.  The copy is let go when its (condition,
+    trial) ends and the uniforms when the loop ends, so neither outlives it.
     """
     log = load_log(spec)
-    for position, (sim, controllers) in enumerate(conditions):
+    try:
         for trial in range(spec.trials):
-            trial_sim = replace(sim, dropout_seed=derive_seed(spec.base_seed, trial))
-            for idx, cspec in enumerate(controllers):
-                seed = derive_seed(cspec.params.get("rng_seed", spec.base_seed), trial, idx)
-                controller = build_controller(cspec, spec.constraints, seed)
-                yield position, trial, cspec, run_campaign(log, controller, spec.constraints, trial_sim)
+            dropout_seed = derive_seed(spec.base_seed, trial)
+            for position, (sim, controllers) in enumerate(conditions):
+                trial_sim = replace(sim, dropout_seed=dropout_seed)
+                try:
+                    for idx, cspec in enumerate(controllers):
+                        seed = derive_seed(cspec.params.get("rng_seed", spec.base_seed), trial, idx)
+                        controller = build_controller(cspec, spec.constraints, seed)
+                        yield (position, trial, cspec,
+                               run_campaign(log, controller, spec.constraints, trial_sim))
+                finally:
+                    forget_dropout()
+    finally:
+        _uniforms.cache_clear()
+
+
+def _in_condition_order(cells: Sequence[tuple[int, int, list]]) -> list[list]:
+    """The rows of ``(position, trial, row)`` cells in condition -> trial
+    order, the controllers of a (condition, trial) in the order given."""
+    return [row for _, _, row in sorted(cells, key=lambda cell: cell[:2])]
 
 
 def _plain(value):
@@ -389,12 +405,12 @@ def sweep_sparsity(spec: ExperimentSpec, p_list: Sequence[float] = SWEEP_LEVELS)
     spec, doc = _read_back("sweep-sparsity", spec, p_list=p_list)
     doc["p_list"] = p_list = levels_from_dict(doc)
     conditions = [(replace(spec.sim, dropout_p=p), spec.controllers) for p in p_list]
-    raw_rows: list[list] = []
+    raw_cells: list[tuple[int, int, list]] = []
     conv_by_cell: dict[tuple[int, str], list[int]] = {}  # by level position: a level may repeat
     for c, trial, cspec, result in _cells(spec, conditions):
         conv_by_cell.setdefault((c, cspec.name), []).append(result.feedback.conversions)
-        raw_rows.append([cspec.name, p_list[c], trial, result.records]
-                        + _metrics_row(result.feedback))
+        raw_cells.append((c, trial, [cspec.name, p_list[c], trial, result.records]
+                                    + _metrics_row(result.feedback)))
     summary_rows: list[list] = []
     for (c, name), convs in conv_by_cell.items():
         conv = np.array(convs, dtype=float)
@@ -406,7 +422,8 @@ def sweep_sparsity(spec: ExperimentSpec, p_list: Sequence[float] = SWEEP_LEVELS)
         "sweep": ("sweep.csv", ["controller", "p", "trials", "mean_conv", "ci_low", "ci_high"],
                   summary_rows),
         "trials": ("sweep_trials.csv",
-                   ["controller", "p", "trial", "records", *_METRIC_COLUMNS], raw_rows),
+                   ["controller", "p", "trial", "records", *_METRIC_COLUMNS],
+                   _in_condition_order(raw_cells)),
     })
 
 
@@ -424,8 +441,9 @@ def run_ablation(spec: ExperimentSpec) -> dict[str, Path]:
                                  "remove feature_set from its params")
     conditions = [(spec.sim, (replace(base, params={**base.params, "feature_set": fs.value}),))
                   for fs in ABLATION_ORDER]
-    rows = [[ABLATION_ORDER[c].value, trial] + _metrics_row(result.feedback)
-            for c, trial, _, result in _cells(spec, conditions)]
+    cells = [(c, trial, [ABLATION_ORDER[c].value, trial] + _metrics_row(result.feedback))
+             for c, trial, _, result in _cells(spec, conditions)]
     return _emit(doc, "ablation_manifest.json", {
-        "ablation": ("ablation.csv", ["feature_set", "trial", *_METRIC_COLUMNS], rows),
+        "ablation": ("ablation.csv", ["feature_set", "trial", *_METRIC_COLUMNS],
+                     _in_condition_order(cells)),
     })

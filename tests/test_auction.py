@@ -20,7 +20,7 @@ from rtblab import (
     run_campaign,
     run_period,
 )
-from rtblab.auction import MAX_WINDOWS, _kept_indices
+from rtblab.auction import MAX_WINDOWS, _uniforms, forget_dropout
 from rtblab.harness import _trace_rows
 from support import (
     AuctionOutcome,
@@ -349,12 +349,17 @@ class TestDropout:
             kept = apply_dropout(logs[n], p, seed)
             assert kept.ts.tobytes() == mask_dropout(logs[n], p, seed).ts.tobytes()
 
-    def test_kept_indices_are_read_only(self):
-        kept = _kept_indices(100, 0.5, 3)
-        assert not kept.flags.writeable
-        with pytest.raises(ValueError):
-            kept[0] = 1
-        assert _kept_indices(100, 0.5, 3) is kept
+    def test_shared_uniforms_and_copy_are_read_only(self):
+        log = random_log(np.random.default_rng(4), 100)
+        kept = apply_dropout(log, 0.5, 3)
+        assert apply_dropout(log, 0.5, 3) is kept
+        uniforms = _uniforms(100, 3)
+        assert _uniforms(100, 3) is uniforms
+        for column in [uniforms] + [getattr(kept, name) for name in BidLog.__slots__]:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+        forget_dropout()
 
 
 class TestControllerWiring:

@@ -7,6 +7,8 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
+import weakref
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -14,7 +16,7 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtblab import (
@@ -40,10 +42,12 @@ from rtblab import (
     serialize_canonical,
     sweep_sparsity,
 )
-from rtblab.auction import PeriodMode, _kept_indices
+from rtblab import auction, harness
+from rtblab.auction import PeriodMode, _uniforms, apply_dropout, forget_dropout
 from rtblab import cli
 from rtblab.cli import build_parser, main
-from rtblab.harness import (PRESETS, _metrics_row, derive_seed, levels_from_dict, spec_from_dict,
+from rtblab.harness import (ABLATION_ORDER, CONTROLLER_KINDS, PRESETS, _metrics_row,
+                            build_controller, derive_seed, levels_from_dict, spec_from_dict,
                             spec_to_dict)
 from support import StopAt, feedback, naive_replay, records
 
@@ -246,18 +250,144 @@ class TestSweep:
         paths = sweep_sparsity(small_spec(tmp_path / "out"))
         assert json.loads(read(paths["manifest"]))["p_list"] == levels_from_dict({})
 
-    def test_one_mask_draw_per_level_and_trial(self, tmp_path):
-        # The controllers of a (level, trial) run back to back and share
-        # the cached mask; an order that splits them apart gives the same
-        # per-cell results but draws the mask again for every controller.
+    def test_one_draw_per_trial_and_one_gather_per_level_and_trial(self, tmp_path, monkeypatch):
+        # All levels of a trial threshold its one cached draw of uniforms,
+        # and the controllers of a (level, trial) run back to back and
+        # share one thinned copy; an order that splits either apart gives
+        # the same rows but draws or gathers again.  The loop empties the
+        # draw's cache (and its statistics) as it ends, so they are read
+        # at each gather.
         controllers = (ControllerSpec(kind="mlp"), ControllerSpec(kind="pid"),
                        ControllerSpec(kind="fixed"))
         levels, trials = [0.3, 0.7, 0.3], 4
-        _kept_indices.cache_clear()
+        draws_at_gather = []
+        gather = BidLog.filter
+
+        def counted_gather(log, kept):
+            draws_at_gather.append(_uniforms.cache_info())
+            return gather(log, kept)
+
+        monkeypatch.setattr(BidLog, "filter", counted_gather)
+        _uniforms.cache_clear()
         sweep_sparsity(small_spec(tmp_path / "out", controllers, trials=trials), levels)
-        info = _kept_indices.cache_info()
-        assert info.misses == len(levels) * trials
-        assert info.hits == len(levels) * trials * (len(controllers) - 1)
+        assert len(draws_at_gather) == len(levels) * trials
+        assert draws_at_gather[-1].misses == trials
+        assert draws_at_gather[-1].hits == (len(levels) - 1) * trials
+
+    @given(levels=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=4),
+           trials=st.integers(1, 4),
+           kinds=st.lists(st.sampled_from(CONTROLLER_KINDS), min_size=1, max_size=3),
+           base_seed=st.integers(0, 2**32))
+    @settings(max_examples=20, deadline=None)
+    def test_shared_draws_and_copies_match_unshared_replays(self, levels, trials, kinds,
+                                                             base_seed):
+        controllers = tuple(ControllerSpec(kind=kind, name=f"{kind}{i}")
+                            for i, kind in enumerate(kinds))
+        with tempfile.TemporaryDirectory() as out:
+            spec = small_spec(out, controllers, trials=trials, base_seed=base_seed)
+            paths = sweep_sparsity(spec, levels)
+            conditions = [(replace(spec.sim, dropout_p=p), controllers) for p in levels]
+            expected = unshared_rows(spec, conditions, lambda c, trial, cspec, result: [
+                cspec.name, levels[c], trial, result.records, *_metrics_row(result.feedback)])
+            assert read(paths["trials"]).splitlines()[1:] == expected
+
+    @given(p=st.sampled_from([0.0, 0.25, 0.5]), trials=st.integers(2, 4),
+           base_seed=st.integers(0, 2**32))
+    @settings(max_examples=10, deadline=None)
+    def test_shared_ablation_copies_match_unshared_replays(self, p, trials, base_seed):
+        base = ControllerSpec(kind="mlp")
+        with tempfile.TemporaryDirectory() as out:
+            spec = small_spec(out, (base,), trials=trials, base_seed=base_seed,
+                              sim=SimConfig(budget=100_000, period_bids=100, dropout_p=p))
+            paths = run_ablation(spec)
+            conditions = [(spec.sim, (replace(base, params={"feature_set": fs.value}),))
+                          for fs in ABLATION_ORDER]
+            expected = unshared_rows(spec, conditions, lambda c, trial, cspec, result: [
+                ABLATION_ORDER[c].value, trial, *_metrics_row(result.feedback)])
+            assert read(paths["ablation"]).splitlines()[1:] == expected
+
+
+def unshared_rows(spec, conditions, row_of) -> list[str]:
+    """The CSV lines of every cell replayed on its own, in condition ->
+    trial -> controller order: each campaign draws its uniforms and
+    gathers its thinned log afresh, with both dropout caches emptied
+    before it."""
+    log = generate_synthetic(spec.synth)
+    rows = []
+    for c, (sim, controllers) in enumerate(conditions):
+        for trial in range(spec.trials):
+            trial_sim = replace(sim, dropout_seed=derive_seed(spec.base_seed, trial))
+            for idx, cspec in enumerate(controllers):
+                forget_dropout()
+                _uniforms.cache_clear()
+                seed = derive_seed(cspec.params.get("rng_seed", spec.base_seed), trial, idx)
+                controller = build_controller(cspec, spec.constraints, seed)
+                rows.append(row_of(c, trial, cspec,
+                                   run_campaign(log, controller, spec.constraints, trial_sim)))
+    forget_dropout()
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue().splitlines()
+
+
+class TestDropoutMemoLifetime:
+    """No thinned copy, and no log it was gathered from, outlives a driver."""
+
+    @staticmethod
+    def gathers(monkeypatch) -> list[int]:
+        seen = []
+        gather = BidLog.filter
+
+        def counted_gather(log, kept):
+            seen.append(len(kept))
+            return gather(log, kept)
+
+        monkeypatch.setattr(BidLog, "filter", counted_gather)
+        return seen
+
+    @pytest.mark.parametrize("drive", [
+        lambda spec: run_experiment(spec),
+        lambda spec: sweep_sparsity(spec, [0.3, 0.6]),
+        lambda spec: run_ablation(spec),
+    ], ids=["run", "sweep", "ablation"])
+    def test_slots_empty_after_driver(self, tmp_path, monkeypatch, drive):
+        seen = self.gathers(monkeypatch)
+        drive(small_spec(tmp_path / "out", (ControllerSpec(kind="mlp"),), trials=2,
+                         sim=SimConfig(budget=100_000, period_bids=100, dropout_p=0.4)))
+        assert seen  # the driver did gather a copy
+        assert auction._thinned == []
+        assert _uniforms.cache_info().currsize == 0
+
+    def test_slots_empty_after_controller_raises_mid_cell(self, tmp_path, monkeypatch):
+        seen = self.gathers(monkeypatch)
+        built = harness.build_controller
+
+        class Boom(RuntimeError):
+            pass
+
+        class Raising:
+            def begin_period(self):
+                raise Boom
+
+        def build(cspec, constraints, seed):
+            return Raising() if cspec.kind == "pid" else built(cspec, constraints, seed)
+
+        monkeypatch.setattr(harness, "build_controller", build)
+        with pytest.raises(Boom):
+            sweep_sparsity(small_spec(tmp_path / "out", MLP_PID, trials=2), [0.5])
+        assert len(seen) == 1  # the mlp gathered the copy the pid was replaying
+        assert auction._thinned == []
+        assert _uniforms.cache_info().currsize == 0
+
+    def test_direct_calls_keep_at_most_one_copy(self):
+        log = generate_synthetic(SynthConfig(n_records=500, seed=2))
+        copies = []
+        for p in (0.2, 0.5, 0.8):
+            copies.append(weakref.ref(apply_dropout(log, p, 1).ts))
+            assert len(auction._thinned) == 1
+        assert [copy() is None for copy in copies] == [True, True, False]
+        forget_dropout()
+        assert copies[-1]() is None
 
 
 class TestDropoutBytePins:
