@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterator, Protocol
 
 import numpy as np
@@ -91,57 +90,55 @@ def run_period(batch: BidLog, u: float, ppc_expected: float,
     )
 
 
-# The one slot of apply_dropout: (log, p, seed, thinned copy), or empty.
-_thinned: list[tuple[BidLog, float, int, BidLog]] = []
+# apply_dropout's one slot: the last draw ("uniforms", of "drawn_for" = (n,
+# seed)) and the last copy kept ("kept", thinned from "log" at "p").
+_slot: dict = {}
 
 
 def apply_dropout(log: BidLog, p: float, seed: int) -> BidLog:
     """Independently keep each record with probability 1-p (seeded).
 
-    Returns ``log`` itself at p = 0, otherwise a thinned copy gathered by
-    the kept row indices.  Record i is kept when the i-th draw of
-    ``default_rng(seed).random(len(log))`` is >= p.  The copy is read-only
-    and kept in one slot, keyed by (log identity, p, seed), so every
-    controller of a sweep cell replays the copy the first one gathered.
-    The slot holds at most one copy, and the log it was gathered from,
-    until the next call with another key or :func:`forget_dropout`.
+    Returns ``log`` itself at p = 0, otherwise a read-only thinned copy
+    gathered by the kept row indices.  Record i is kept when the i-th draw
+    of ``default_rng(seed).random(len(log))`` is >= p.
+
+    One slot keeps the last draw, so calls with the same (len(log), seed),
+    as the levels of a sweep trial make, threshold it again.  When every
+    column of ``log`` is read-only, the slot also keeps the copy, and a
+    call with the same log, p and seed returns it, so every campaign of a
+    sweep cell replays the copy the first one gathered.  A writable log
+    may change in place, so its copy is gathered afresh on every call and
+    not kept.  The old copy is let go before a new one is gathered, and
+    :func:`forget_dropout` empties the slot.
     """
     if not (0.0 <= p <= 1.0):
         raise ConfigurationError("dropout probability must lie in [0, 1]")
     if p == 0.0:
         return log
-    if _thinned:
-        last_log, last_p, last_seed, last = _thinned[0]
-        if last_log is log and last_p == p and last_seed == seed:
-            return last
-    forget_dropout()  # the old copy goes before the new one is gathered
-    kept = log.filter(_kept_indices(len(log), p, seed))
+    n = len(log)
+    read_only = not any(getattr(log, name).flags.writeable for name in BidLog.__slots__)
+    if (read_only and _slot.get("log") is log and _slot["p"] == p
+            and _slot["drawn_for"] == (n, seed)):
+        return _slot["kept"]
+    for key in ("log", "p", "kept"):  # the old copy goes before the new one is gathered
+        _slot.pop(key, None)
+    # The old draw goes only once the new one is made: freed together with
+    # the old copy, their pages go back to the system at every new trial and
+    # are faulted in again.
+    if _slot.get("drawn_for") != (n, seed):
+        _slot.update(drawn_for=(n, seed), uniforms=np.random.default_rng(seed).random(n))
+        _slot["uniforms"].flags.writeable = False
+    kept = log.filter(np.flatnonzero(_slot["uniforms"] >= p))
     for name in BidLog.__slots__:
         getattr(kept, name).flags.writeable = False
-    _thinned.append((log, p, seed, kept))
+    if read_only:
+        _slot.update(log=log, p=p, kept=kept)
     return kept
 
 
 def forget_dropout() -> None:
-    """Empty apply_dropout's slot, letting go of its copy and log."""
-    _thinned.clear()
-
-
-@lru_cache(maxsize=1)
-def _uniforms(n: int, seed: int) -> np.ndarray:
-    """The n uniforms a dropout seeded by ``seed`` thresholds.
-
-    Cached: the levels of one sweep trial threshold the same draw in turn.
-    The array is read-only because every caller shares it.
-    """
-    draw = np.random.default_rng(seed).random(n)
-    draw.flags.writeable = False
-    return draw
-
-
-def _kept_indices(n: int, p: float, seed: int) -> np.ndarray:
-    """Ascending indices of the records a (n, p, seed) dropout keeps."""
-    return np.flatnonzero(_uniforms(n, seed) >= p)
+    """Empty apply_dropout's slot, letting go of its draw, copy and log."""
+    _slot.clear()
 
 
 class PeriodController(Protocol):

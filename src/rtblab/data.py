@@ -276,8 +276,9 @@ class SynthConfig:
 class BidLog:
     """Column-oriented bid log: one numpy array per canonical field.
 
-    Slicing via :meth:`segment` and masking via :meth:`filter` return
-    views/copies sharing no mutable state with the original.
+    :meth:`segment` returns a log of slices that share memory with the
+    original, so an edit to either shows in both; :meth:`filter` returns a
+    copy that shares none.
     """
 
     __slots__ = ("ts", "pctr", "pcvr", "market_price", "click", "conversion")

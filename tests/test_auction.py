@@ -16,11 +16,14 @@ from rtblab import (
     PeriodFeedback,
     PeriodMode,
     SimConfig,
+    SynthConfig,
     apply_dropout,
+    generate_synthetic,
     run_campaign,
     run_period,
 )
-from rtblab.auction import MAX_WINDOWS, _uniforms, forget_dropout
+from rtblab import auction
+from rtblab.auction import MAX_WINDOWS, forget_dropout
 from rtblab.harness import _trace_rows
 from support import (
     AuctionOutcome,
@@ -34,6 +37,7 @@ from support import (
     max_price,
     naive_replay,
     random_log,
+    read_only,
     records,
     resolve_auction,
 )
@@ -342,23 +346,57 @@ class TestDropout:
             assert got.tobytes() == want.tobytes()
 
     def test_interleaved_calls_never_return_a_stale_mask(self):
-        logs = {n: random_log(np.random.default_rng(n), n) for n in (50, 80)}
         calls = [(50, 0.5, 1), (50, 0.5, 1), (50, 0.5, 2), (50, 0.5, 1), (50, 0.25, 1),
                  (80, 0.25, 1), (50, 0.25, 1), (80, 0.5, 2), (80, 0.5, 2), (50, 0.5, 2)]
-        for n, p, seed in calls:
-            kept = apply_dropout(logs[n], p, seed)
-            assert kept.ts.tobytes() == mask_dropout(logs[n], p, seed).ts.tobytes()
+        for make in (lambda log: log, read_only):  # a read-only log's copy is kept
+            logs = {n: make(random_log(np.random.default_rng(n), n)) for n in (50, 80)}
+            for n, p, seed in calls:
+                kept = apply_dropout(logs[n], p, seed)
+                assert kept.ts.tobytes() == mask_dropout(logs[n], p, seed).ts.tobytes()
+        forget_dropout()
 
     def test_shared_uniforms_and_copy_are_read_only(self):
-        log = random_log(np.random.default_rng(4), 100)
+        log = read_only(random_log(np.random.default_rng(4), 100))
         kept = apply_dropout(log, 0.5, 3)
         assert apply_dropout(log, 0.5, 3) is kept
-        uniforms = _uniforms(100, 3)
-        assert _uniforms(100, 3) is uniforms
+        uniforms = auction._slot["uniforms"]
+        apply_dropout(log, 0.25, 3)
+        assert auction._slot["uniforms"] is uniforms
         for column in [uniforms] + [getattr(kept, name) for name in BidLog.__slots__]:
             assert not column.flags.writeable
             with pytest.raises(ValueError):
                 column[0] = column[0]
+        forget_dropout()
+
+    def test_edit_in_place_shows_in_the_next_replay(self):
+        # A writable log may change between calls, so its thinned copy is
+        # gathered afresh each time rather than kept.
+        log = generate_synthetic(SynthConfig(n_records=20_000, seed=1))
+        sim = SimConfig(budget=10**12, period_bids=1000, dropout_p=0.5, dropout_seed=7)
+        before = run_campaign(log, FixedBidController(1.0), CONSTRAINTS, sim).feedback
+        log.market_price[:] = 0
+        after = run_campaign(log, FixedBidController(1.0), CONSTRAINTS, sim).feedback
+        forget_dropout()
+        assert (before.impressions, before.cost) == (10_084, 751_744)
+        assert (after.impressions, after.cost) == (10_084, 0)
+
+    def test_writable_log_leaves_no_log_or_copy_in_slot(self):
+        frozen = read_only(random_log(np.random.default_rng(6), 100))
+        apply_dropout(frozen, 0.5, 3)
+        assert auction._slot["log"] is frozen
+        writable = random_log(np.random.default_rng(6), 100)
+        for seed in (3, 4):  # the same draw, then a new one
+            kept = apply_dropout(writable, 0.5, seed)
+            assert auction._slot.keys() == {"drawn_for", "uniforms"}
+            assert kept.ts.tobytes() == mask_dropout(writable, 0.5, seed).ts.tobytes()
+        # a kept log made writable again is thinned afresh, and let go
+        apply_dropout(frozen, 0.5, 4)
+        for name in BidLog.__slots__:
+            getattr(frozen, name).flags.writeable = True
+        frozen.market_price[:] = 0
+        kept = apply_dropout(frozen, 0.5, 4)
+        assert not kept.market_price.any() and len(kept)
+        assert auction._slot.keys() == {"drawn_for", "uniforms"}
         forget_dropout()
 
 

@@ -43,13 +43,13 @@ from rtblab import (
     sweep_sparsity,
 )
 from rtblab import auction, harness
-from rtblab.auction import PeriodMode, _uniforms, apply_dropout, forget_dropout
+from rtblab.auction import PeriodMode, apply_dropout, forget_dropout
 from rtblab import cli
 from rtblab.cli import build_parser, main
 from rtblab.harness import (ABLATION_ORDER, CONTROLLER_KINDS, PRESETS, _metrics_row,
                             build_controller, derive_seed, levels_from_dict, spec_from_dict,
                             spec_to_dict)
-from support import StopAt, feedback, naive_replay, records
+from support import StopAt, feedback, naive_replay, read_only, records
 
 CONSTRAINTS = ConstraintSet.single_ppc(1800)
 # The acceptance suite's dense environment, where the controllers have authority.
@@ -251,12 +251,11 @@ class TestSweep:
         assert json.loads(read(paths["manifest"]))["p_list"] == levels_from_dict({})
 
     def test_one_draw_per_trial_and_one_gather_per_level_and_trial(self, tmp_path, monkeypatch):
-        # All levels of a trial threshold its one cached draw of uniforms,
-        # and the controllers of a (level, trial) run back to back and
-        # share one thinned copy; an order that splits either apart gives
-        # the same rows but draws or gathers again.  The loop empties the
-        # draw's cache (and its statistics) as it ends, so they are read
-        # at each gather.
+        # All levels of a trial threshold its one draw of uniforms, and the
+        # controllers of a (level, trial) run back to back and share one
+        # thinned copy; an order that splits either apart gives the same
+        # rows but draws or gathers again.  The loop empties the dropout
+        # slot as it ends, so the draw is read at each gather.
         controllers = (ControllerSpec(kind="mlp"), ControllerSpec(kind="pid"),
                        ControllerSpec(kind="fixed"))
         levels, trials = [0.3, 0.7, 0.3], 4
@@ -264,15 +263,16 @@ class TestSweep:
         gather = BidLog.filter
 
         def counted_gather(log, kept):
-            draws_at_gather.append(_uniforms.cache_info())
+            draws_at_gather.append(auction._slot["uniforms"])
             return gather(log, kept)
 
         monkeypatch.setattr(BidLog, "filter", counted_gather)
-        _uniforms.cache_clear()
         sweep_sparsity(small_spec(tmp_path / "out", controllers, trials=trials), levels)
         assert len(draws_at_gather) == len(levels) * trials
-        assert draws_at_gather[-1].misses == trials
-        assert draws_at_gather[-1].hits == (len(levels) - 1) * trials
+        draws = [draws_at_gather[i:i + len(levels)]
+                 for i in range(0, len(draws_at_gather), len(levels))]
+        assert all(draw is trial[0] for trial in draws for draw in trial)
+        assert len({id(trial[0]) for trial in draws}) == trials
 
     @given(levels=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=4),
            trials=st.integers(1, 4),
@@ -310,8 +310,8 @@ class TestSweep:
 def unshared_rows(spec, conditions, row_of) -> list[str]:
     """The CSV lines of every cell replayed on its own, in condition ->
     trial -> controller order: each campaign draws its uniforms and
-    gathers its thinned log afresh, with both dropout caches emptied
-    before it."""
+    gathers its thinned log afresh, with the dropout slot emptied before
+    it."""
     log = generate_synthetic(spec.synth)
     rows = []
     for c, (sim, controllers) in enumerate(conditions):
@@ -319,7 +319,6 @@ def unshared_rows(spec, conditions, row_of) -> list[str]:
             trial_sim = replace(sim, dropout_seed=derive_seed(spec.base_seed, trial))
             for idx, cspec in enumerate(controllers):
                 forget_dropout()
-                _uniforms.cache_clear()
                 seed = derive_seed(cspec.params.get("rng_seed", spec.base_seed), trial, idx)
                 controller = build_controller(cspec, spec.constraints, seed)
                 rows.append(row_of(c, trial, cspec,
@@ -355,8 +354,7 @@ class TestDropoutMemoLifetime:
         drive(small_spec(tmp_path / "out", (ControllerSpec(kind="mlp"),), trials=2,
                          sim=SimConfig(budget=100_000, period_bids=100, dropout_p=0.4)))
         assert seen  # the driver did gather a copy
-        assert auction._thinned == []
-        assert _uniforms.cache_info().currsize == 0
+        assert auction._slot == {}
 
     def test_slots_empty_after_controller_raises_mid_cell(self, tmp_path, monkeypatch):
         seen = self.gathers(monkeypatch)
@@ -376,18 +374,39 @@ class TestDropoutMemoLifetime:
         with pytest.raises(Boom):
             sweep_sparsity(small_spec(tmp_path / "out", MLP_PID, trials=2), [0.5])
         assert len(seen) == 1  # the mlp gathered the copy the pid was replaying
-        assert auction._thinned == []
-        assert _uniforms.cache_info().currsize == 0
+        assert auction._slot == {}
 
     def test_direct_calls_keep_at_most_one_copy(self):
-        log = generate_synthetic(SynthConfig(n_records=500, seed=2))
+        log = read_only(generate_synthetic(SynthConfig(n_records=500, seed=2)))
         copies = []
         for p in (0.2, 0.5, 0.8):
             copies.append(weakref.ref(apply_dropout(log, p, 1).ts))
-            assert len(auction._thinned) == 1
+            assert auction._slot["log"] is log and auction._slot["p"] == p
         assert [copy() is None for copy in copies] == [True, True, False]
         forget_dropout()
         assert copies[-1]() is None
+
+    def test_ablation_gathers_once_per_trial(self, tmp_path, monkeypatch):
+        # the four feature sets of a trial differ only in the controller,
+        # so they replay one copy
+        seen = self.gathers(monkeypatch)
+        run_ablation(small_spec(tmp_path / "out", (ControllerSpec(kind="mlp"),), trials=3,
+                                sim=SimConfig(budget=100_000, period_bids=100, dropout_p=0.4)))
+        assert len(seen) == 3
+
+    def test_old_copy_is_gone_when_the_next_gather_starts(self, tmp_path, monkeypatch):
+        copies = []
+        gather = BidLog.filter
+
+        def watched_gather(log, kept):
+            assert [copy() for copy in copies] == [None] * len(copies)
+            thinned = gather(log, kept)
+            copies.append(weakref.ref(thinned.ts))
+            return thinned
+
+        monkeypatch.setattr(BidLog, "filter", watched_gather)
+        sweep_sparsity(small_spec(tmp_path / "out", MLP_PID, trials=2), [0.3, 0.6])
+        assert len(copies) == 4
 
 
 class TestDropoutBytePins:
