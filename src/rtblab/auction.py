@@ -90,6 +90,17 @@ def run_period(batch: BidLog, u: float, ppc_expected: float,
     )
 
 
+def _frozen(column: np.ndarray) -> bool:
+    """Whether ``column`` and every array it views are read-only, down to
+    memory of their own or a ``bytes``.  A writable view taken of any of
+    them before it was made read-only is not seen."""
+    while isinstance(column, np.ndarray):
+        if column.flags.writeable:
+            return False
+        column = column.base
+    return column is None or isinstance(column, bytes)
+
+
 # apply_dropout's one slot: the last draw ("uniforms", of "drawn_for" = (n,
 # seed)) and the last copy kept ("kept", thinned from "log" at "p").
 _slot: dict = {}
@@ -104,19 +115,20 @@ def apply_dropout(log: BidLog, p: float, seed: int) -> BidLog:
 
     One slot keeps the last draw, so calls with the same (len(log), seed),
     as the levels of a sweep trial make, threshold it again.  When every
-    column of ``log`` is read-only, the slot also keeps the copy, and a
-    call with the same log, p and seed returns it, so every campaign of a
-    sweep cell replays the copy the first one gathered.  A writable log
-    may change in place, so its copy is gathered afresh on every call and
-    not kept.  The old copy is let go before a new one is gathered, and
-    :func:`forget_dropout` empties the slot.
+    column of ``log`` is read-only, and so is every array it views, the
+    slot also keeps the copy, and a call with the same log, p and seed
+    returns it, so every campaign of a sweep cell replays the copy the
+    first one gathered.  Any other log may change in place, so its copy is
+    gathered afresh on every call and not kept.  The old copy is let go
+    before a new one is gathered, and :func:`forget_dropout` empties the
+    slot.
     """
     if not (0.0 <= p <= 1.0):
         raise ConfigurationError("dropout probability must lie in [0, 1]")
     if p == 0.0:
         return log
     n = len(log)
-    read_only = not any(getattr(log, name).flags.writeable for name in BidLog.__slots__)
+    read_only = all(_frozen(getattr(log, name)) for name in BidLog.__slots__)
     if (read_only and _slot.get("log") is log and _slot["p"] == p
             and _slot["drawn_for"] == (n, seed)):
         return _slot["kept"]

@@ -4,21 +4,29 @@ The canonical log is a UTF-8 comma-delimited file with header
 ``ts,pctr,pcvr,market_price,click,conversion``: integer millisecond
 timestamps (nondecreasing), probabilities with up to six fraction digits,
 integer fen prices, 0/1 labels, each field ASCII with no ``_``
-separators.  ``BidLog.from_csv`` reads a log columnar, with numpy's C
-reader (given the path, so it reads the file in chunks) and whole-column
-checks, so its memory is proportional to the row count;
+separators.  ``BidLog.from_csv`` has three readers.  A file in the exact
+layout ``serialize_canonical`` writes (unsigned integers of 1-16 digits,
+rates as ``d.dddddd``, ``\\n`` after every row) is read in blocks by byte
+arithmetic, in memory of the columns plus one block.  Any other file is
+read columnar by numpy's C reader (given the path, so it reads the file
+in chunks) with whole-column checks, in memory proportional to the row
+count, from the first block that leaves the writer's layout: the rows of
+the blocks before it are kept, not parsed again.  ``convert_ipinyou``
+keeps field text verbatim, so a converted log is read by byte arithmetic
+only as far as its source text has the writer's layout.
 ``parse_canonical`` is the streaming (constant-memory) parser and the
 error oracle: it yields each row as a ``(ts, pctr, pcvr, market_price,
-click, conversion)`` tuple, and any file the columnar reader does not
-accept is re-read by it, which raises the first bad row with its line
-number.  ``serialize_canonical`` is the array writer: it writes the bytes
-of ``"%d,%.6f,%.6f,%d,%d,%d"`` per row, but formats each chunk of rows as
-one byte array by numpy arithmetic.  The replay-facing ``BidLog`` is a
+click, conversion)`` tuple, and any file numpy's reader rejects is re-read
+whole by it, which raises the first bad row with its line number.
+``serialize_canonical`` is the array writer: it writes the bytes of
+``"%d,%.6f,%.6f,%d,%d,%d"`` per row, but formats each chunk of rows as one
+byte array by numpy arithmetic.  The replay-facing ``BidLog`` is a
 column-oriented view built once per run.
 """
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -42,6 +50,25 @@ _TEN, _ZERO = np.uint64(10), np.uint8(ord("0"))
 _PAD = 0  # a byte no field holds
 _SCAN_CHUNK_BYTES = 1 << 20
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# The writer-layout reader reads blocks of _READ_BLOCK_BYTES after the rest
+# of the last block's cut row.  A row of 1-16 digit integers takes 26 to 56
+# bytes; _WORD_PAD bytes before the block let a field's two 8-byte words
+# start before it.
+_READ_BLOCK_BYTES = 1 << 21
+_WORD_PAD = 16
+_ROW_BYTES_MIN, _ROW_BYTES_MAX = 26, 56
+_COLUMN_DTYPES = (np.int64, np.float64, np.float64, np.int64, bool, bool)  # BidLog's
+# Digit words stay in uint64, every operand too (see _POW10).  _KEEP_LAST[L]
+# keeps the last L of a little-endian word's 8 bytes, its high bytes.
+_KEEP_LAST = np.array([(2**64 - 1) << 8 * (8 - L) & (2**64 - 1) for L in range(9)],
+                      dtype=np.uint64)
+_BYTE, _EIGHT = np.uint64(0xFF), np.uint64(8)
+# (keep, multiplier, shift) of each SWAR round, which turns a word of digit
+# bytes, first byte most significant, into digit pairs, then fours, then
+# the 8-digit value.
+_SWAR_ROUNDS = tuple(tuple(np.uint64(x) for x in r) for r in (
+    (0x0F0F0F0F0F0F0F0F, 10 << 8 | 1, 8), (0x00FF00FF00FF00FF, 100 << 16 | 1, 16),
+    (0x0000FFFF0000FFFF, 10000 << 32 | 1, 32)))
 
 
 class LogFormatError(ValueError):
@@ -183,6 +210,68 @@ def serialize_canonical(log: BidLog, stream) -> None:
             np.full((1, n), ord("\n"), dtype=np.uint8)])
         rows = np.ascontiguousarray(columns.T)
         stream.write(rows[rows != _PAD].tobytes().decode("ascii"))
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The number each uint64 spells in its 8 bytes of ASCII digits (or
+    zero bytes), read little-endian, so its first byte is the most
+    significant digit; computed in place, in ``words``."""
+    for keep, multiplier, shift in _SWAR_ROUNDS:
+        words &= keep
+        words *= multiplier
+        words >>= shift
+    return words
+
+
+def _integers(words: np.ndarray, end: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The unsigned integers of 1-16 digits that end before ``end`` and are
+    ``width`` long, as int64; ``words[i]`` is the 8 bytes from byte i."""
+    value = _eight_digits(words[end - 8] & _KEEP_LAST[np.minimum(width, 8)])
+    if width.max() > 8:
+        high = _eight_digits(words[end - 16] & _KEEP_LAST[np.maximum(width - 8, 0)])
+        value += high * _POW10[8]
+    return value.view(np.int64)  # below 10**16
+
+
+def _rates(words: np.ndarray) -> np.ndarray:
+    """The rates spelt ``d.dddddd`` by words, each as k / 1e6: a correctly
+    rounded quotient of two exact doubles, so the double ``float`` reads."""
+    digits = words & _KEEP_LAST[6]
+    digits |= (words & _BYTE) << _EIGHT  # "d.dddddd" -> "\0ddddddd"
+    return _eight_digits(digits).astype(np.float64) / 1e6
+
+
+def _writer_layout_rows(buf: np.ndarray, words: np.ndarray, stop: int,
+                        last_ts: int) -> tuple | None:
+    """The checked columns of the rows in ``buf[_WORD_PAD:stop]``, the last
+    ending in a newline, which follow a row of timestamp ``last_ts``; None
+    if a row is not in the layout ``serialize_canonical`` writes for a log
+    of 1-16 digit integers, or fails a predicate of ``_parse_row``."""
+    block = buf[_WORD_PAD:stop]
+    end = np.flatnonzero(block == ord("\n")) + _WORD_PAD
+    dot = np.flatnonzero(block == ord(".")) + _WORD_PAD
+    n = len(end)
+    # Eight non-digit bytes a row, and no byte above "9"; the checks below
+    # find them all at their offsets, so every other byte is a digit.
+    if len(dot) != 2 * n or np.count_nonzero(block < _ZERO) != 8 * n or block.max() > ord("9"):
+        return None
+    first = dot[::2] - 2  # the comma after ts
+    comma = end - 4  # the comma after price
+    ts_width = first - np.concatenate(([_WORD_PAD], end[:-1] + 1))
+    price_width = comma - first - 19
+    if not ((ts_width >= 1).all() and (ts_width <= 16).all()
+            and (price_width >= 1).all() and (price_width <= 16).all()
+            and np.array_equal(dot[1::2], first + 11)
+            and all((buf[at] == ord(",")).all()
+                    for at in (first, first + 9, first + 18, comma, end - 2))):
+        return None
+    ts, price = _integers(words, first, ts_width), _integers(words, comma, price_width)
+    pctr, pcvr = _rates(words[first + 1]), _rates(words[first + 10])
+    click, conversion = buf[end - 3], buf[end - 1]
+    if not ((pctr <= 1.0).all() and (pcvr <= 1.0).all() and (click <= ord("1")).all()
+            and (conversion <= click).all() and ts[0] >= last_ts and (ts[1:] >= ts[:-1]).all()):
+        return None
+    return ts, pctr, pcvr, price, click == ord("1"), conversion == ord("1")
 
 
 @dataclass(frozen=True)
@@ -333,10 +422,14 @@ class BidLog:
 
     @classmethod
     def from_csv(cls, path) -> "BidLog":
-        """Read a canonical log file; a file the columnar reader rejects is
+        """Read a canonical log file.  Rows in the layout
+        :func:`serialize_canonical` writes are read block-wise by byte
+        arithmetic; the rest of the file, from the first block that leaves
+        that layout, goes to numpy's reader, and a file that one rejects is
         re-read by :func:`parse_canonical`, whose verdict (the log, or the
         first bad row's ``LogFormatError``) is returned."""
-        log = cls._read_columns(path)
+        head, whole = cls._read_writer_layout(path)
+        log = cls(*head) if whole else cls._read_columns(path, head)
         if log is None:
             # surrogateescape: a byte that is not UTF-8 fails the field check of its line
             with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -344,8 +437,60 @@ class BidLog:
         return log
 
     @classmethod
-    def _read_columns(cls, path) -> "BidLog | None":
-        """Parse and check a canonical log column-wise; None if any check fails."""
+    def _read_writer_layout(cls, path) -> tuple[list, bool]:
+        """The checked columns of the rows that start ``path`` in the exact
+        layout of :func:`serialize_canonical`, its integers unsigned and of
+        1-16 digits, and whether they are all of its rows.
+
+        Each block read is cut after its last newline, and the rest carried
+        into the next, so the memory is the columns plus one block.  A row's
+        eight non-digit bytes must sit at their fixed offsets, and every
+        other byte must be a digit; each field is then decoded from the
+        little-endian 8-byte words that end it.  Reading stops at the first
+        block with a row out of that layout, and none of its rows is kept."""
+        header = (CANONICAL_HEADER + "\n").encode("ascii")
+        buf = np.full(_WORD_PAD + _ROW_BYTES_MAX + _READ_BLOCK_BYTES, _ZERO)
+        # words[i] is the unaligned uint64 of buf[i:i + 8]
+        words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+        with open(path, "rb") as fh:
+            rows_max = max(os.fstat(fh.fileno()).st_size - len(header), 0) // _ROW_BYTES_MIN
+            columns = [np.empty(0, dtype) for dtype in _COLUMN_DTYPES]
+            n = carry = 0
+            whole = fh.read(len(header)) == header
+            while whole and (got := fh.readinto(
+                    buf[_WORD_PAD + carry:_WORD_PAD + carry + _READ_BLOCK_BYTES])):
+                stop = _WORD_PAD + carry + got
+                # a cut row is shorter than _ROW_BYTES_MAX, so a last newline is near the end
+                window = max(stop - _ROW_BYTES_MAX, _WORD_PAD)
+                newlines = np.flatnonzero(buf[window:stop] == ord("\n"))
+                rest = window + newlines[-1] + 1 if len(newlines) else _WORD_PAD
+                carry = stop - rest
+                if rest > _WORD_PAD:
+                    rows = _writer_layout_rows(buf, words, rest, columns[0][n - 1] if n else 0)
+                    whole = rows is not None and n + len(rows[0]) <= rows_max
+                    if not whole:
+                        break
+                    if n == 0:
+                        # Room for the most rows the file could hold; the memory past
+                        # the last row read is never touched, and is given back by
+                        # resize.  Made only once a block is in the layout: made and
+                        # freed before numpy's reader ran, it raised the peak memory
+                        # of repeated reads of a 500k-row CRLF log from 71 to 100 MB
+                        # (glibc, numpy 2.4).
+                        columns = [np.empty(rows_max, dtype) for dtype in _COLUMN_DTYPES]
+                    for column, values in zip(columns, rows):
+                        column[n:n + len(values)] = values
+                    n += len(rows[0])
+                whole = carry < _ROW_BYTES_MAX  # a longer cut row is out of the layout
+                buf[_WORD_PAD:_WORD_PAD + carry] = buf[rest:stop]
+        for column in columns:
+            column.resize(n, refcheck=False)  # in place: no view of it was kept
+        return columns, whole and not carry  # a carry is a last row with no newline
+
+    @classmethod
+    def _read_columns(cls, path, head: list) -> "BidLog | None":
+        """Parse and check a canonical log column-wise, past the rows whose
+        checked columns ``head`` holds; None if any check fails."""
         # numpy strips whitespace from around a field, and to it the
         # separators \x1c-\x1f and non-ASCII spaces are whitespace too
         with open(path, "rb") as fh:
@@ -363,7 +508,7 @@ class BidLog:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 rows = np.loadtxt(path, delimiter=",", dtype=_CANONICAL_DTYPE, comments=None,
-                                  skiprows=1, encoding="ascii", ndmin=1)
+                                  skiprows=1 + len(head[0]), encoding="ascii", ndmin=1)
         except ValueError:
             return None
         ts, pctr, pcvr = rows["ts"], rows["pctr"], rows["pcvr"]
@@ -374,12 +519,15 @@ class BidLog:
                  and np.all((click == 0) | (click == 1))
                  and np.all((conversion == 0) | (conversion == 1))
                  and np.all(conversion <= click)
-                 and np.all(ts[1:] >= ts[:-1]))
+                 and np.all(ts[1:] >= ts[:-1]) and np.all(ts[:1] >= head[0][-1:]))
         if not valid:
             return None
-        return cls(np.ascontiguousarray(ts), np.ascontiguousarray(pctr),
+        columns = (np.ascontiguousarray(ts), np.ascontiguousarray(pctr),
                    np.ascontiguousarray(pcvr), np.ascontiguousarray(price),
                    click.astype(bool), conversion.astype(bool))
+        if len(head[0]):
+            columns = [np.concatenate(pair) for pair in zip(head, columns)]
+        return cls(*columns)
 
 
 def generate_synthetic(config: SynthConfig) -> BidLog:

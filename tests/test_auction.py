@@ -19,6 +19,7 @@ from rtblab import (
     SynthConfig,
     apply_dropout,
     generate_synthetic,
+    parse_canonical,
     run_campaign,
     run_period,
 )
@@ -30,6 +31,7 @@ from support import (
     BidRecord,
     StopAt,
     Stopped,
+    canonical_text,
     cost_value,
     kpi_error,
     make_log,
@@ -397,6 +399,56 @@ class TestDropout:
         kept = apply_dropout(frozen, 0.5, 4)
         assert not kept.market_price.any() and len(kept)
         assert auction._slot.keys() == {"drawn_for", "uniforms"}
+        forget_dropout()
+
+    def test_read_only_view_of_a_writable_array_is_thinned_afresh(self):
+        # BidLog keeps a view of an int64 array as it is; made read-only, the
+        # view still changes with the array it views, so no copy is kept
+        n = 1000
+        base = np.stack([np.arange(n), np.random.default_rng(1).integers(1, 100, n)], axis=1)
+        log = read_only(BidLog(base[:, 0], np.full(n, 0.5), np.full(n, 0.5), base[:, 1],
+                               np.zeros(n, bool), np.zeros(n, bool)))
+        assert log.market_price.base is base
+        before = apply_dropout(log, 0.5, 1)
+        assert before.market_price.sum() == mask_dropout(log, 0.5, 1).market_price.sum() > 0
+        base[:, 1] = 0
+        assert not apply_dropout(log, 0.5, 1).market_price.any()
+        assert auction._slot.keys() == {"drawn_for", "uniforms"}
+        forget_dropout()
+
+    def test_view_of_bytes_keeps_its_copy(self):
+        log = random_log(np.random.default_rng(7), 100)
+        frozen = BidLog(*(np.frombuffer(getattr(log, name).tobytes(), getattr(log, name).dtype)
+                          for name in BidLog.__slots__))
+        assert isinstance(frozen.ts.base, bytes)
+        assert apply_dropout(frozen, 0.5, 3) is apply_dropout(frozen, 0.5, 3)
+        forget_dropout()
+
+    @pytest.mark.parametrize("source", ["synthetic", "writer layout", "numpy reader",
+                                        "both readers", "from_records"])
+    def test_log_of_every_source_keeps_its_copy_once_read_only(self, tmp_path, monkeypatch,
+                                                                source):
+        # The drivers make the log they load read-only and count on its copy
+        # being kept, so every reader must hand over columns that own their
+        # memory; from_csv builds the streaming parser's log by from_records.
+        log = generate_synthetic(SynthConfig(n_records=500, seed=3))
+        path = tmp_path / "log.csv"
+        text = canonical_text(log)
+        if source == "numpy reader":
+            text = text.replace("\n", "\r\n")
+        elif source == "both readers":  # the writer-layout reader stops at the last block
+            text = text[:-1] + "\r\n"
+            monkeypatch.setattr("rtblab.data._READ_BLOCK_BYTES", 4096)
+        path.write_bytes(text.encode("ascii"))
+        head, whole = BidLog._read_writer_layout(path)
+        assert (len(head[0]) > 0, whole) == (source != "numpy reader",
+                                             source not in ("numpy reader", "both readers"))
+        read = {"synthetic": lambda: log,
+                "from_records": lambda: BidLog.from_records(
+                    parse_canonical(path.read_text().splitlines(keepends=True)))}
+        frozen = read_only(read.get(source, lambda: BidLog.from_csv(path))())
+        assert len(frozen) == len(log)
+        assert apply_dropout(frozen, 0.5, 3) is apply_dropout(frozen, 0.5, 3)
         forget_dropout()
 
 

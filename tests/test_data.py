@@ -7,7 +7,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rtblab import (
     BidLog,
@@ -92,19 +92,32 @@ class TestParse:
 
 
 COLUMNS = ("ts", "pctr", "pcvr", "market_price", "click", "conversion")
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 BIG = "99999999999999999999"
 
 _PROB = st.integers(0, 10**6).map(lambda k: f"{k // 10**6}.{k % 10**6:06d}")
 
 
+def _unsigned(top: int):
+    """Integers of 1-19 digits up to ``top``, among them 2**53 + 1, which a
+    float64 does not hold, the 16-digit maximum of the writer-layout reader,
+    and ``top``."""
+    return st.one_of(
+        st.integers(0, 10**7), st.sampled_from([0, 2**53 + 1, 10**16 - 1, top]),
+        st.integers(1, 19).flatmap(
+            lambda width: st.integers(0 if width == 1 else 10 ** (width - 1),
+                                      min(10 ** width - 1, top))))
+
+
 @st.composite
 def _canonical_rows(draw):
-    rows, ts = [], 0
-    for _ in range(draw(st.integers(0, 8))):
-        ts += draw(st.integers(0, 10**6))
+    n = draw(st.integers(0, 8))
+    top = _INT64_MAX // max(n, 1)  # BidLog's int64-total rule
+    rows = []
+    for ts in sorted(draw(st.lists(_unsigned(_INT64_MAX), min_size=n, max_size=n))):
         click = draw(st.booleans())
         conversion = click and draw(st.booleans())
-        rows.append([str(ts), draw(_PROB), draw(_PROB), str(draw(st.integers(0, 10**7))),
+        rows.append([str(ts), draw(_PROB), draw(_PROB), str(draw(_unsigned(top))),
                      str(int(click)), str(int(conversion))])
     return rows
 
@@ -120,6 +133,9 @@ _FIELD_MUTATIONS = (
     lambda f: f" {f}\t", lambda f: "+" + f, _underscore, lambda f: f + ".0",
     lambda f: f + "#", lambda f: BIG, lambda f: "-" + BIG, lambda f: "nan",
     lambda f: "1.5", lambda f: "-0.000001", lambda f: f + "\xa0", lambda f: "\x1e" + f,
+    lambda f: "-0.000000", lambda f: "-" + f,  # -0.0 is a rate; "-" + ts is a negative ts
+    # same width as a rate or a label, so only a value check can reject them
+    lambda f: "1.000001", lambda f: "9.999999", lambda f: "2",
 )
 
 
@@ -161,6 +177,35 @@ def _outcome(read):
 def _streamed(path):
     with open(path, "r", encoding="utf-8") as fh:
         return BidLog.from_records(parse_canonical(fh))
+
+
+def _refuse_fallbacks(monkeypatch, numpy_reader=False):
+    """Make the streaming parser, and numpy's reader unless ``numpy_reader``,
+    fail if from_csv calls them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("fell back from the writer-layout reader")
+
+    monkeypatch.setattr("rtblab.data.parse_canonical", refuse)
+    if not numpy_reader:
+        monkeypatch.setattr(np, "loadtxt", refuse)
+
+
+@st.composite
+def _writer_layout_rows(draw):
+    """Lines as serialize_canonical writes them, of 1-16 digit integers."""
+    n = draw(st.integers(0, 6))
+    rows = []
+    for ts in sorted(draw(st.lists(st.integers(0, 10**16 - 1), min_size=n, max_size=n))):
+        click = draw(st.booleans())
+        conversion = click and draw(st.booleans())
+        price = draw(st.one_of(st.integers(0, 10**5), st.integers(0, 10**16 - 1)))
+        rows.append(f"{ts},{draw(_PROB)},{draw(_PROB)},{price},{click:d},{conversion:d}")
+    return rows
+
+
+# a click row and a no-click row, in which each pinned example of
+# test_writer_layout_read_in_blocks_of_any_size breaks one value rule
+_TWO_ROWS = ["1,0.500000,0.250000,7,1,0", "2,0.500000,0.250000,7,0,0"]
 
 
 class TestFromCsv:
@@ -211,12 +256,67 @@ class TestFromCsv:
         path = tmp_path / "log.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             serialize_canonical(log, fh)
-
-        def refuse(stream):
-            raise AssertionError("fell back to the streaming parser")
-
-        monkeypatch.setattr("rtblab.data.parse_canonical", refuse)
+        _refuse_fallbacks(monkeypatch)
         assert _outcome(lambda: BidLog.from_csv(path)) == _outcome(lambda: log)
+
+    def test_rows_after_the_writer_layout_go_to_numpys_reader(self, tmp_path, monkeypatch):
+        # Only the last row ends in CRLF.  The blocks before it keep their
+        # rows, and numpy's reader parses only the rest of the file.
+        log = generate_synthetic(SynthConfig(n_records=3000, seed=8))
+        path = tmp_path / "log.csv"
+        path.write_bytes((canonical_text(log)[:-1] + "\r\n").encode("ascii"))
+        skipped, loadtxt = [], np.loadtxt
+
+        def counting_loadtxt(*args, **kwargs):
+            skipped.append(kwargs["skiprows"])
+            return loadtxt(*args, **kwargs)
+
+        _refuse_fallbacks(monkeypatch, numpy_reader=True)
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        monkeypatch.setattr("rtblab.data._READ_BLOCK_BYTES", 4096)
+        assert _outcome(lambda: BidLog.from_csv(path)) == _outcome(lambda: log)
+        assert len(skipped) == 1 and len(log) - 4096 // 26 <= skipped[0] - 1 < len(log)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=_writer_layout_rows(), block=st.one_of(st.integers(1, 80), st.just(1 << 21)),
+           swap=st.integers(0, 5), crlf_from=st.integers(0, 6),
+           edit=st.none() | st.tuples(st.integers(0, 5), st.sampled_from([
+               (1, "1.000001"), (2, "1.000001"), (1, "9.999999"), (2, "9.999999"),
+               (4, "2"), (5, "2"), (4, "9"), (5, "9"), (4, "0,1")])))
+    @example(rows=_TWO_ROWS, block=1 << 21, swap=0, crlf_from=6, edit=(0, (1, "9.999999")))
+    @example(rows=_TWO_ROWS, block=1 << 21, swap=0, crlf_from=6, edit=(1, (2, "1.000001")))
+    @example(rows=_TWO_ROWS, block=1 << 21, swap=0, crlf_from=6, edit=(0, (4, "2")))
+    @example(rows=_TWO_ROWS, block=1 << 21, swap=0, crlf_from=6, edit=(1, (4, "0,1")))
+    @example(rows=_TWO_ROWS, block=1 << 21, swap=1, crlf_from=6, edit=None)
+    @example(rows=_TWO_ROWS, block=30, swap=1, crlf_from=6, edit=None)
+    @example(rows=_TWO_ROWS, block=30, swap=1, crlf_from=1, edit=None)
+    def test_writer_layout_read_in_blocks_of_any_size(self, tmp_path, monkeypatch, rows, block,
+                                                      swap, crlf_from, edit):
+        # Each small block cuts a row at another offset, or holds no newline
+        # at all; a large one holds the file.  Rows swapped out of order may
+        # be in one block or in two, and an edit that keeps a field's width
+        # breaks a rate or label rule; such a file falls back.  Rows from
+        # crlf_from on end in CRLF, so numpy's reader takes the file from
+        # the block that holds the first of them.  Any other file takes the
+        # writer-layout reader alone.
+        rows = list(rows)
+        if 0 < swap < len(rows):
+            rows[swap - 1], rows[swap] = rows[swap], rows[swap - 1]
+        if edit and rows:
+            row, (column, text) = edit[0] % len(rows), edit[1]
+            fields = rows[row].split(",")
+            fields[column:column + text.count(",") + 1] = text.split(",")
+            rows[row] = ",".join(fields)
+        path = tmp_path / "log.csv"
+        path.write_bytes("".join(line + ("\n" if i <= crlf_from else "\r\n")
+                                 for i, line in enumerate([CANONICAL_HEADER, *rows])).encode())
+        expected = _outcome(lambda: _streamed(path))
+        with monkeypatch.context() as patch:
+            if isinstance(expected, list):
+                _refuse_fallbacks(patch, numpy_reader=crlf_from < len(rows))
+            patch.setattr("rtblab.data._READ_BLOCK_BYTES", block)
+            assert _outcome(lambda: BidLog.from_csv(path)) == expected
 
 
 class TestRoundTrip:
@@ -238,17 +338,13 @@ class TestRoundTrip:
         assert buf2.getvalue() == text
 
     def test_round_trip_past_a_chunk_reads_columnar(self, tmp_path, monkeypatch):
-        # 140,000 rows cross the writer's 65,536-row chunks and numpy's read chunks
+        # 140,000 rows cross the writer's 65,536-row chunks and the reader's blocks
         log = generate_synthetic(SynthConfig(n_records=140_000, seed=21))
         path = tmp_path / "log.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             serialize_canonical(log, fh)
         assert path.read_text(encoding="utf-8") == canonical_text(log)
-
-        def refuse(stream):
-            raise AssertionError("fell back to the streaming parser")
-
-        monkeypatch.setattr("rtblab.data.parse_canonical", refuse)
+        _refuse_fallbacks(monkeypatch)
         assert _outcome(lambda: BidLog.from_csv(path)) == _outcome(lambda: log)
 
     # sha256 of `gen-synthetic` output for GOLDEN_ARGS, pinned when records
@@ -263,9 +359,6 @@ class TestRoundTrip:
         out = tmp_path / "log.csv"
         assert main(["gen-synthetic", *self.GOLDEN_ARGS, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_SHA256
-
-
-_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 def _rounding_edges(k: int, offset: float, ulps: int) -> float:

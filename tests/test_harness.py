@@ -190,6 +190,27 @@ class TestMetricsRow:
         assert abs(ppc * conv - cost) <= 1
 
 
+SWEPT = (ControllerSpec(kind="mlp"), ControllerSpec(kind="pid"), ControllerSpec(kind="fixed"))
+
+
+def assert_one_draw_and_one_gather(spec, monkeypatch, levels=(0.3, 0.7, 0.3)):
+    """A sweep of ``spec`` draws once per trial and gathers once per (level, trial)."""
+    draws_at_gather = []
+    gather = BidLog.filter
+
+    def counted_gather(log, kept):
+        draws_at_gather.append(auction._slot["uniforms"])
+        return gather(log, kept)
+
+    monkeypatch.setattr(BidLog, "filter", counted_gather)
+    sweep_sparsity(spec, list(levels))
+    assert len(draws_at_gather) == len(levels) * spec.trials
+    draws = [draws_at_gather[i:i + len(levels)]
+             for i in range(0, len(draws_at_gather), len(levels))]
+    assert all(draw is trial[0] for trial in draws for draw in trial)
+    assert len({id(trial[0]) for trial in draws}) == spec.trials
+
+
 class TestSweep:
     def test_zero_dropout_equals_plain_run(self, tmp_path):
         spec = small_spec(tmp_path / "sweep", (ControllerSpec(kind="mlp"),), trials=3)
@@ -256,23 +277,16 @@ class TestSweep:
         # thinned copy; an order that splits either apart gives the same
         # rows but draws or gathers again.  The loop empties the dropout
         # slot as it ends, so the draw is read at each gather.
-        controllers = (ControllerSpec(kind="mlp"), ControllerSpec(kind="pid"),
-                       ControllerSpec(kind="fixed"))
-        levels, trials = [0.3, 0.7, 0.3], 4
-        draws_at_gather = []
-        gather = BidLog.filter
+        assert_one_draw_and_one_gather(small_spec(tmp_path / "out", SWEPT, trials=4), monkeypatch)
 
-        def counted_gather(log, kept):
-            draws_at_gather.append(auction._slot["uniforms"])
-            return gather(log, kept)
-
-        monkeypatch.setattr(BidLog, "filter", counted_gather)
-        sweep_sparsity(small_spec(tmp_path / "out", controllers, trials=trials), levels)
-        assert len(draws_at_gather) == len(levels) * trials
-        draws = [draws_at_gather[i:i + len(levels)]
-                 for i in range(0, len(draws_at_gather), len(levels))]
-        assert all(draw is trial[0] for trial in draws for draw in trial)
-        assert len({id(trial[0]) for trial in draws}) == trials
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["writer-layout", "numpy-reader"])
+    def test_log_read_from_a_file_shares_its_copies(self, tmp_path, monkeypatch, newline):
+        spec = small_spec(tmp_path / "out", SWEPT, trials=4)
+        path = tmp_path / "log.csv"
+        with open(path, "w", encoding="ascii", newline=newline) as fh:
+            serialize_canonical(generate_synthetic(spec.synth), fh)
+        spec = replace(spec, synth=None, log_path=str(path))
+        assert_one_draw_and_one_gather(spec, monkeypatch)
 
     @given(levels=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=4),
            trials=st.integers(1, 4),
