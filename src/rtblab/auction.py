@@ -9,6 +9,7 @@ the auction resolves), everything after it sees no participation.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Protocol
@@ -90,20 +91,27 @@ def run_period(batch: BidLog, u: float, ppc_expected: float,
     )
 
 
-def _frozen(column: np.ndarray) -> bool:
-    """Whether ``column`` and every array it views are read-only, down to
-    memory of their own or a ``bytes``.  A writable view taken of any of
-    them before it was made read-only is not seen."""
-    while isinstance(column, np.ndarray):
-        if column.flags.writeable:
-            return False
-        column = column.base
-    return column is None or isinstance(column, bytes)
-
-
-# apply_dropout's one slot: the last draw ("uniforms", of "drawn_for" = (n,
-# seed)) and the last copy kept ("kept", thinned from "log" at "p").
+# apply_dropout's one slot: while shared_dropout(log) is open, the "log"
+# it shares, the last draw ("uniforms", of "seed") and the last copy kept
+# ("kept", thinned at "p" from that draw).
 _slot: dict = {}
+
+
+@contextmanager
+def shared_dropout(log: BidLog) -> Iterator[None]:
+    """Within the block, :func:`apply_dropout` on ``log`` keeps its last
+    draw and its last thinned copy, so the campaigns that thin ``log`` at
+    the same (p, seed) back to back replay one copy, and calls with the
+    same seed at other p threshold the one draw again.  The caller must
+    leave ``log`` unchanged inside the block.  The slot is emptied on entry
+    and on exit, also when the block raises.
+    """
+    _slot.clear()
+    _slot["log"] = log
+    try:
+        yield
+    finally:
+        _slot.clear()
 
 
 def apply_dropout(log: BidLog, p: float, seed: int) -> BidLog:
@@ -111,46 +119,33 @@ def apply_dropout(log: BidLog, p: float, seed: int) -> BidLog:
 
     Returns ``log`` itself at p = 0, otherwise a read-only thinned copy
     gathered by the kept row indices.  Record i is kept when the i-th draw
-    of ``default_rng(seed).random(len(log))`` is >= p.
-
-    One slot keeps the last draw, so calls with the same (len(log), seed),
-    as the levels of a sweep trial make, threshold it again.  When every
-    column of ``log`` is read-only, and so is every array it views, the
-    slot also keeps the copy, and a call with the same log, p and seed
-    returns it, so every campaign of a sweep cell replays the copy the
-    first one gathered.  Any other log may change in place, so its copy is
-    gathered afresh on every call and not kept.  The old copy is let go
-    before a new one is gathered, and :func:`forget_dropout` empties the
-    slot.
+    of ``default_rng(seed).random(len(log))`` is >= p.  Each call draws and
+    gathers afresh, except on the log of an open :func:`shared_dropout`.
     """
     if not (0.0 <= p <= 1.0):
         raise ConfigurationError("dropout probability must lie in [0, 1]")
     if p == 0.0:
         return log
-    n = len(log)
-    read_only = all(_frozen(getattr(log, name)) for name in BidLog.__slots__)
-    if (read_only and _slot.get("log") is log and _slot["p"] == p
-            and _slot["drawn_for"] == (n, seed)):
+    if _slot.get("log") is not log:
+        return _thinned(log, np.random.default_rng(seed).random(len(log)), p)
+    if (_slot.get("p"), _slot.get("seed")) == (p, seed):
         return _slot["kept"]
-    for key in ("log", "p", "kept"):  # the old copy goes before the new one is gathered
+    for key in ("p", "kept"):  # the old copy goes before the new one is gathered
         _slot.pop(key, None)
     # The old draw goes only once the new one is made: freed together with
     # the old copy, their pages go back to the system at every new trial and
     # are faulted in again.
-    if _slot.get("drawn_for") != (n, seed):
-        _slot.update(drawn_for=(n, seed), uniforms=np.random.default_rng(seed).random(n))
-        _slot["uniforms"].flags.writeable = False
-    kept = log.filter(np.flatnonzero(_slot["uniforms"] >= p))
+    if _slot.get("seed") != seed:
+        _slot.update(seed=seed, uniforms=np.random.default_rng(seed).random(len(log)))
+    _slot.update(p=p, kept=_thinned(log, _slot["uniforms"], p))
+    return _slot["kept"]
+
+
+def _thinned(log: BidLog, uniforms: np.ndarray, p: float) -> BidLog:
+    kept = log.filter(np.flatnonzero(uniforms >= p))
     for name in BidLog.__slots__:
         getattr(kept, name).flags.writeable = False
-    if read_only:
-        _slot.update(log=log, p=p, kept=kept)
     return kept
-
-
-def forget_dropout() -> None:
-    """Empty apply_dropout's slot, letting go of its draw, copy and log."""
-    _slot.clear()
 
 
 class PeriodController(Protocol):

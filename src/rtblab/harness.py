@@ -18,7 +18,7 @@ from typing import Collection, Iterator, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .auction import CampaignResult, SimConfig, forget_dropout, run_campaign
+from .auction import CampaignResult, SimConfig, run_campaign, shared_dropout
 from .baselines import FixedBidController, PidConfig, PidController
 from .controller import FeatureSet, MlpBidController, MlpControllerConfig
 from .core import ConfigurationError, ConstraintSet, KpiConstraint, KpiKind, PeriodFeedback
@@ -145,18 +145,16 @@ def _cells(spec: ExperimentSpec,
     Each trial replays its condition's ``sim`` with only ``dropout_seed``
     set.  The dropout mask of a trial is seeded by (base_seed, trial)
     alone, so all levels of a sweep threshold the trial's one draw of
-    uniforms.  The log is made read-only, so apply_dropout keeps the copy
-    it thins: the campaigns of a (condition, trial) share one copy, and so
-    do all feature sets of an ablation trial, whose conditions differ only
-    in the controller.  The controller at position ``idx`` is seeded by
+    uniforms.  The loop shares dropout on the log it loads, so the
+    campaigns of a (condition, trial) replay one thinned copy, and so do
+    all feature sets of an ablation trial, whose conditions differ only in
+    the controller.  The controller at position ``idx`` is seeded by
     (``params.rng_seed`` if given, else base_seed, trial, idx), so the
-    ablation reuses the same seeds across feature sets.  The dropout slot
-    is emptied when the loop ends, so no copy or log outlives it.
+    ablation reuses the same seeds across feature sets.  No draw or copy
+    outlives the loop.
     """
     log = load_log(spec)
-    for name in BidLog.__slots__:
-        getattr(log, name).flags.writeable = False
-    try:
+    with shared_dropout(log):
         for trial in range(spec.trials):
             dropout_seed = derive_seed(spec.base_seed, trial)
             for position, (sim, controllers) in enumerate(conditions):
@@ -166,8 +164,6 @@ def _cells(spec: ExperimentSpec,
                     controller = build_controller(cspec, spec.constraints, seed)
                     yield (position, trial, cspec,
                            run_campaign(log, controller, spec.constraints, trial_sim))
-    finally:
-        forget_dropout()
 
 
 def _in_condition_order(cells: Sequence[tuple[int, int, list]]) -> list[list]:

@@ -109,13 +109,6 @@ def mask_dropout(log: BidLog, p: float, seed: int) -> BidLog:
     return log.filter(np.random.default_rng(seed).random(len(log)) >= p)
 
 
-def read_only(log: BidLog) -> BidLog:
-    """``log`` with every column made read-only, as the drivers make theirs."""
-    for name in BidLog.__slots__:
-        getattr(log, name).flags.writeable = False
-    return log
-
-
 class Stopped(Exception):
     pass
 

@@ -19,19 +19,17 @@ from rtblab import (
     SynthConfig,
     apply_dropout,
     generate_synthetic,
-    parse_canonical,
     run_campaign,
     run_period,
 )
 from rtblab import auction
-from rtblab.auction import MAX_WINDOWS, forget_dropout
+from rtblab.auction import MAX_WINDOWS, shared_dropout
 from rtblab.harness import _trace_rows
 from support import (
     AuctionOutcome,
     BidRecord,
     StopAt,
     Stopped,
-    canonical_text,
     cost_value,
     kpi_error,
     make_log,
@@ -39,7 +37,6 @@ from support import (
     max_price,
     naive_replay,
     random_log,
-    read_only,
     records,
     resolve_auction,
 )
@@ -341,115 +338,87 @@ class TestDropout:
     @settings(max_examples=200, deadline=None)
     def test_matches_boolean_mask_definition(self, n, p, seed):
         log = random_log(np.random.default_rng(n), n)
-        kept, expected = apply_dropout(log, p, seed), mask_dropout(log, p, seed)
-        for name in BidLog.__slots__:
-            got, want = getattr(kept, name), getattr(expected, name)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        assert_same_rows(apply_dropout(log, p, seed), mask_dropout(log, p, seed))
 
-    def test_interleaved_calls_never_return_a_stale_mask(self):
-        calls = [(50, 0.5, 1), (50, 0.5, 1), (50, 0.5, 2), (50, 0.5, 1), (50, 0.25, 1),
-                 (80, 0.25, 1), (50, 0.25, 1), (80, 0.5, 2), (80, 0.5, 2), (50, 0.5, 2)]
-        for make in (lambda log: log, read_only):  # a read-only log's copy is kept
-            logs = {n: make(random_log(np.random.default_rng(n), n)) for n in (50, 80)}
+    @given(st.lists(st.tuples(st.sampled_from([50, 80]), st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                              st.integers(0, 2)), max_size=12))
+    @settings(max_examples=50, deadline=None)
+    def test_interleaved_calls_never_return_a_stale_mask(self, calls):
+        # the 50-row log is shared, the 80-row one is not
+        logs = {n: random_log(np.random.default_rng(n), n) for n in (50, 80)}
+        last = None
+        with shared_dropout(logs[50]):
             for n, p, seed in calls:
                 kept = apply_dropout(logs[n], p, seed)
-                assert kept.ts.tobytes() == mask_dropout(logs[n], p, seed).ts.tobytes()
-        forget_dropout()
+                assert_same_rows(kept, mask_dropout(logs[n], p, seed))
+                if n == 50:
+                    if last is not None and last[0] == (p, seed):
+                        assert kept is last[1]
+                    last = (p, seed), kept
 
-    def test_shared_uniforms_and_copy_are_read_only(self):
-        log = read_only(random_log(np.random.default_rng(4), 100))
+    def test_outside_a_scope_every_call_draws_and_gathers_afresh(self):
+        log = random_log(np.random.default_rng(4), 100)
         kept = apply_dropout(log, 0.5, 3)
-        assert apply_dropout(log, 0.5, 3) is kept
-        uniforms = auction._slot["uniforms"]
-        apply_dropout(log, 0.25, 3)
-        assert auction._slot["uniforms"] is uniforms
-        for column in [uniforms] + [getattr(kept, name) for name in BidLog.__slots__]:
-            assert not column.flags.writeable
+        assert apply_dropout(log, 0.5, 3) is not kept
+        assert auction._slot == {}
+        for name in BidLog.__slots__:
+            column = getattr(kept, name)
             with pytest.raises(ValueError):
                 column[0] = column[0]
-        forget_dropout()
+
+    def test_another_log_in_a_scope_is_thinned_afresh_and_leaves_the_memo(self):
+        shared, other = (random_log(np.random.default_rng(seed), 100) for seed in (6, 7))
+        with shared_dropout(shared):
+            kept = apply_dropout(shared, 0.5, 3)
+            memo = dict(auction._slot)
+            assert apply_dropout(other, 0.5, 3) is not apply_dropout(other, 0.5, 3)
+            assert auction._slot.keys() == memo.keys()
+            assert all(auction._slot[key] is value for key, value in memo.items())
+            assert apply_dropout(shared, 0.5, 3) is kept
+
+    def test_a_nested_scope_replays_its_own_log(self):
+        outer, inner = (random_log(np.random.default_rng(seed), 100) for seed in (8, 9))
+        with shared_dropout(outer):
+            apply_dropout(outer, 0.5, 3)
+            with shared_dropout(inner):
+                assert_same_rows(apply_dropout(inner, 0.5, 3), mask_dropout(inner, 0.5, 3))
+            assert auction._slot == {}
+            assert_same_rows(apply_dropout(outer, 0.5, 3), mask_dropout(outer, 0.5, 3))
+
+    def test_slot_is_empty_after_a_block_that_raises(self):
+        log = random_log(np.random.default_rng(10), 100)
+        with pytest.raises(RuntimeError):
+            with shared_dropout(log):
+                apply_dropout(log, 0.5, 3)
+                assert "kept" in auction._slot
+                raise RuntimeError
+        assert auction._slot == {}
 
     def test_edit_in_place_shows_in_the_next_replay(self):
-        # A writable log may change between calls, so its thinned copy is
-        # gathered afresh each time rather than kept.
+        # Outside a shared_dropout block the log may change between calls,
+        # so its thinned copy is gathered afresh each time.
         log = generate_synthetic(SynthConfig(n_records=20_000, seed=1))
         sim = SimConfig(budget=10**12, period_bids=1000, dropout_p=0.5, dropout_seed=7)
         before = run_campaign(log, FixedBidController(1.0), CONSTRAINTS, sim).feedback
         log.market_price[:] = 0
         after = run_campaign(log, FixedBidController(1.0), CONSTRAINTS, sim).feedback
-        forget_dropout()
         assert (before.impressions, before.cost) == (10_084, 751_744)
         assert (after.impressions, after.cost) == (10_084, 0)
 
-    def test_writable_log_leaves_no_log_or_copy_in_slot(self):
-        frozen = read_only(random_log(np.random.default_rng(6), 100))
-        apply_dropout(frozen, 0.5, 3)
-        assert auction._slot["log"] is frozen
-        writable = random_log(np.random.default_rng(6), 100)
-        for seed in (3, 4):  # the same draw, then a new one
-            kept = apply_dropout(writable, 0.5, seed)
-            assert auction._slot.keys() == {"drawn_for", "uniforms"}
-            assert kept.ts.tobytes() == mask_dropout(writable, 0.5, seed).ts.tobytes()
-        # a kept log made writable again is thinned afresh, and let go
-        apply_dropout(frozen, 0.5, 4)
+    def test_write_through_an_alias_of_a_read_only_column_shows_in_the_next_call(self):
+        log = generate_synthetic(SynthConfig(n_records=1000, seed=1))
+        alias = log.market_price[:]
         for name in BidLog.__slots__:
-            getattr(frozen, name).flags.writeable = True
-        frozen.market_price[:] = 0
-        kept = apply_dropout(frozen, 0.5, 4)
-        assert not kept.market_price.any() and len(kept)
-        assert auction._slot.keys() == {"drawn_for", "uniforms"}
-        forget_dropout()
+            getattr(log, name).flags.writeable = False
+        assert apply_dropout(log, 0.5, 1).market_price.sum() == 38_402
+        alias[:] = 0
+        assert apply_dropout(log, 0.5, 1).market_price.sum() == 0
 
-    def test_read_only_view_of_a_writable_array_is_thinned_afresh(self):
-        # BidLog keeps a view of an int64 array as it is; made read-only, the
-        # view still changes with the array it views, so no copy is kept
-        n = 1000
-        base = np.stack([np.arange(n), np.random.default_rng(1).integers(1, 100, n)], axis=1)
-        log = read_only(BidLog(base[:, 0], np.full(n, 0.5), np.full(n, 0.5), base[:, 1],
-                               np.zeros(n, bool), np.zeros(n, bool)))
-        assert log.market_price.base is base
-        before = apply_dropout(log, 0.5, 1)
-        assert before.market_price.sum() == mask_dropout(log, 0.5, 1).market_price.sum() > 0
-        base[:, 1] = 0
-        assert not apply_dropout(log, 0.5, 1).market_price.any()
-        assert auction._slot.keys() == {"drawn_for", "uniforms"}
-        forget_dropout()
 
-    def test_view_of_bytes_keeps_its_copy(self):
-        log = random_log(np.random.default_rng(7), 100)
-        frozen = BidLog(*(np.frombuffer(getattr(log, name).tobytes(), getattr(log, name).dtype)
-                          for name in BidLog.__slots__))
-        assert isinstance(frozen.ts.base, bytes)
-        assert apply_dropout(frozen, 0.5, 3) is apply_dropout(frozen, 0.5, 3)
-        forget_dropout()
-
-    @pytest.mark.parametrize("source", ["synthetic", "writer layout", "numpy reader",
-                                        "both readers", "from_records"])
-    def test_log_of_every_source_keeps_its_copy_once_read_only(self, tmp_path, monkeypatch,
-                                                                source):
-        # The drivers make the log they load read-only and count on its copy
-        # being kept, so every reader must hand over columns that own their
-        # memory; from_csv builds the streaming parser's log by from_records.
-        log = generate_synthetic(SynthConfig(n_records=500, seed=3))
-        path = tmp_path / "log.csv"
-        text = canonical_text(log)
-        if source == "numpy reader":
-            text = text.replace("\n", "\r\n")
-        elif source == "both readers":  # the writer-layout reader stops at the last block
-            text = text[:-1] + "\r\n"
-            monkeypatch.setattr("rtblab.data._READ_BLOCK_BYTES", 4096)
-        path.write_bytes(text.encode("ascii"))
-        head, whole = BidLog._read_writer_layout(path)
-        assert (len(head[0]) > 0, whole) == (source != "numpy reader",
-                                             source not in ("numpy reader", "both readers"))
-        read = {"synthetic": lambda: log,
-                "from_records": lambda: BidLog.from_records(
-                    parse_canonical(path.read_text().splitlines(keepends=True)))}
-        frozen = read_only(read.get(source, lambda: BidLog.from_csv(path))())
-        assert len(frozen) == len(log)
-        assert apply_dropout(frozen, 0.5, 3) is apply_dropout(frozen, 0.5, 3)
-        forget_dropout()
+def assert_same_rows(got: BidLog, want: BidLog) -> None:
+    for name in BidLog.__slots__:
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestControllerWiring:

@@ -43,13 +43,13 @@ from rtblab import (
     sweep_sparsity,
 )
 from rtblab import auction, harness
-from rtblab.auction import PeriodMode, apply_dropout, forget_dropout
+from rtblab.auction import PeriodMode
 from rtblab import cli
 from rtblab.cli import build_parser, main
 from rtblab.harness import (ABLATION_ORDER, CONTROLLER_KINDS, PRESETS, _metrics_row,
                             build_controller, derive_seed, levels_from_dict, spec_from_dict,
                             spec_to_dict)
-from support import StopAt, feedback, naive_replay, read_only, records
+from support import StopAt, feedback, naive_replay, records
 
 CONSTRAINTS = ConstraintSet.single_ppc(1800)
 # The acceptance suite's dense environment, where the controllers have authority.
@@ -323,21 +323,18 @@ class TestSweep:
 
 def unshared_rows(spec, conditions, row_of) -> list[str]:
     """The CSV lines of every cell replayed on its own, in condition ->
-    trial -> controller order: each campaign draws its uniforms and
-    gathers its thinned log afresh, with the dropout slot emptied before
-    it."""
+    trial -> controller order: outside a shared_dropout block, each
+    campaign draws its uniforms and gathers its thinned log afresh."""
     log = generate_synthetic(spec.synth)
     rows = []
     for c, (sim, controllers) in enumerate(conditions):
         for trial in range(spec.trials):
             trial_sim = replace(sim, dropout_seed=derive_seed(spec.base_seed, trial))
             for idx, cspec in enumerate(controllers):
-                forget_dropout()
                 seed = derive_seed(cspec.params.get("rng_seed", spec.base_seed), trial, idx)
                 controller = build_controller(cspec, spec.constraints, seed)
                 rows.append(row_of(c, trial, cspec,
                                    run_campaign(log, controller, spec.constraints, trial_sim)))
-    forget_dropout()
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows(rows)
     return text.getvalue().splitlines()
@@ -389,16 +386,6 @@ class TestDropoutMemoLifetime:
             sweep_sparsity(small_spec(tmp_path / "out", MLP_PID, trials=2), [0.5])
         assert len(seen) == 1  # the mlp gathered the copy the pid was replaying
         assert auction._slot == {}
-
-    def test_direct_calls_keep_at_most_one_copy(self):
-        log = read_only(generate_synthetic(SynthConfig(n_records=500, seed=2)))
-        copies = []
-        for p in (0.2, 0.5, 0.8):
-            copies.append(weakref.ref(apply_dropout(log, p, 1).ts))
-            assert auction._slot["log"] is log and auction._slot["p"] == p
-        assert [copy() is None for copy in copies] == [True, True, False]
-        forget_dropout()
-        assert copies[-1]() is None
 
     def test_ablation_gathers_once_per_trial(self, tmp_path, monkeypatch):
         # the four feature sets of a trial differ only in the controller,
