@@ -64,31 +64,26 @@ def run_period(batch: BidLog, u: float, ppc_expected: float,
     batch at the first win that lifts cumulative cost to the budget; later
     records are terminated and counted nowhere.
     """
-    if spent >= budget or len(batch) == 0:
+    price = batch.market_price
+    if spent >= budget or len(price) == 0:
         return PeriodFeedback()
+    pctr, pcvr, click, conversion = batch.pctr, batch.pcvr, batch.click, batch.conversion
     # same left-to-right multiply order as the test oracle adjusted_ecpm (tests/support.py)
-    ecpm = 1000.0 * batch.pctr
-    ecpm *= batch.pcvr
+    ecpm = 1000.0 * pctr
+    ecpm *= pcvr
     ecpm *= ppc_expected
     ecpm *= u
-    win = ecpm > batch.market_price
-    cum = np.where(win, batch.market_price, 0).cumsum(dtype=np.int64)  # BidLog prices are >= 0
-    n_part = len(batch)
-    columns = win, batch.click, batch.conversion, batch.pctr, batch.pcvr
+    win = ecpm > price
+    cum = (price * win).cumsum(dtype=np.int64)  # BidLog prices are >= 0
+    n_part = len(price)
     if cum[-1] >= budget - spent:  # the first win to reach the budget is the last row played
         n_part = int(np.searchsorted(cum, budget - spent)) + 1
-        columns = [column[:n_part] for column in columns]
-    win, click, conversion, pctr, pcvr = columns
+        win, click, conversion = win[:n_part], click[:n_part], conversion[:n_part]
+        pctr, pcvr = pctr[:n_part], pcvr[:n_part]
     clicked = win & click
-    return PeriodFeedback(
-        bids_participated=n_part,
-        impressions=int(np.count_nonzero(win)),
-        clicks=int(np.count_nonzero(clicked)),
-        conversions=int(np.count_nonzero(clicked & conversion)),
-        cost=int(cum[n_part - 1]),
-        sum_pctr=float(pctr.sum()),
-        sum_pcvr=float(pcvr.sum()),
-    )
+    return PeriodFeedback(n_part, int(np.count_nonzero(win)), int(np.count_nonzero(clicked)),
+                          int(np.count_nonzero(clicked & conversion)), int(cum[n_part - 1]),
+                          float(np.add.reduce(pctr)), float(np.add.reduce(pcvr)))
 
 
 # apply_dropout's one slot: while shared_dropout(log) is open, the "log"
@@ -204,14 +199,14 @@ def run_campaign(log: BidLog, controller: PeriodController,
     cumulative = PeriodFeedback()
     trace: list[PeriodTrace] = []
     terminated = False
+    segment, ppc_expected, budget = log.segment, constraints.ppc_expected, sim.budget
     for lo, hi in _period_bounds(log, sim):
         u = controller.begin_period()
-        delta = run_period(log.segment(lo, hi), u, constraints.ppc_expected,
-                           cumulative.cost, sim.budget)
+        delta = run_period(segment(lo, hi), u, ppc_expected, cumulative.cost, budget)
         cumulative = cumulative + delta
         controller.end_period(cumulative, delta, hi / n)
         trace.append(PeriodTrace(u, cumulative))
-        if cumulative.cost >= sim.budget:
+        if cumulative.cost >= budget:
             terminated = True
             break
     return CampaignResult(

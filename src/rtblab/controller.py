@@ -19,7 +19,6 @@ step size is controlled by direction agreement rather than raw magnitude.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -93,19 +92,12 @@ class UpdateResult:
 _ZERO_NORM_GUARD = 1e-12
 # keeps u strictly inside (0, u_max) when the logistic saturates to 0/1 in floats
 _U_MARGIN = 1e-12
+_POSTERIOR = (FeatureSet.POSTERIOR, FeatureSet.FULL)
+_PRIOR = (FeatureSet.PRIOR, FeatureSet.FULL)
 
 
 def input_dim(n_constraints: int, feature_set: FeatureSet) -> int:
-    return 2 * n_constraints + len(extra_features(PeriodFeedback(), feature_set))
-
-
-def extra_features(feedback: PeriodFeedback, feature_set: FeatureSet) -> list[float]:
-    features = []
-    if feature_set in (FeatureSet.POSTERIOR, FeatureSet.FULL):
-        features += (feedback.ctr, feedback.cvr)
-    if feature_set in (FeatureSet.PRIOR, FeatureSet.FULL):
-        features += (feedback.mean_pctr, feedback.mean_pcvr)
-    return features
+    return 2 * n_constraints + 2 * (feature_set in _POSTERIOR) + 2 * (feature_set in _PRIOR)
 
 
 def normalized_feedback(constraints: ConstraintSet, feedback: PeriodFeedback) -> list[float]:
@@ -115,11 +107,16 @@ def normalized_feedback(constraints: ConstraintSet, feedback: PeriodFeedback) ->
 
 def build_input(xhat: Sequence[float], feedback: PeriodFeedback,
                 feature_set: FeatureSet) -> np.ndarray:
-    """The input vector [1, xhat_1, 1, xhat_2, ...] + extra features of ``feedback``."""
+    """The input vector [1, xhat_1, 1, xhat_2, ...], then the extra rate
+    features of ``feedback``: realized CTR and CVR (posterior), then the
+    mean predicted CTR and CVR (prior)."""
     parts: list[float] = []
     for value in xhat:
         parts += (1.0, value)
-    parts.extend(extra_features(feedback, feature_set))
+    if feature_set in _POSTERIOR:
+        parts += (feedback.ctr, feedback.cvr)
+    if feature_set in _PRIOR:
+        parts += (feedback.mean_pctr, feedback.mean_pcvr)
     return np.array(parts)
 
 
@@ -130,72 +127,9 @@ def _sigmoid(a: float) -> float:
     return e / (1.0 + e)
 
 
-def _sigmoid_slope(a: float) -> float:
-    # equals exp(-a) / (1 + exp(-a))^2, computed without overflow
-    s = _sigmoid(a)
-    return s * (1.0 - s)
-
-
-def reference_vector(constraints: ConstraintSet, elapsed_fraction: float,
-                     mode: BudgetErrorMode) -> list[float]:
-    """Per-constraint reference the normalized feedback is steered to."""
-    paced = mode is BudgetErrorMode.PACED
-    return [float(elapsed_fraction) if paced and c.kind is KpiKind.BUDGET else 1.0
-            for c in constraints.constraints]
-
-
-def partial_j1(q: float, x: float, z: float) -> float:
-    """Slope of the weighted squared KPI error with respect to the feedback."""
-    return 2.0 * q * (x - z)
-
-
-def partial_j2(r: float, u_curr: float, u_prev: float) -> float:
-    """Slope of the control penalty with respect to the current adjustment
-    (the previous adjustment is held constant)."""
-    return 2.0 * r * (u_curr - u_prev)
-
-
-def approx_dxdu(x_curr: float, x_prev: float, u_curr: float, u_prev: float) -> float:
-    """Sign estimate of the feedback-vs-adjustment slope from the last two
-    periods; 0 when either delta is zero (no evidence, no direction)."""
-    product = (x_curr - x_prev) * (u_curr - u_prev)
-    if product > 0.0:
-        return 1.0
-    if product < 0.0:
-        return -1.0
-    return 0.0
-
-
-def sigmoid_layer_grads(w_dec: np.ndarray, h: np.ndarray,
-                        u_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact decision-layer gradients: du/dh and du/dw_dec."""
-    slope = u_max * _sigmoid_slope(float(w_dec @ h))
-    return slope * w_dec, slope * h
-
-
-def approx_dhdwe(x: np.ndarray, h_curr: np.ndarray, h_prev: np.ndarray,
-                 u_curr: float, u_prev: float) -> np.ndarray:
-    """Hebbian-style encoding-layer factor: the input vector scaled by the
-    summed sign correlations between hidden-unit deltas and the adjustment
-    delta.  The sum of signs is a small integer, so it is exact."""
-    return x * np.sign((h_curr - h_prev) * (u_curr - u_prev)).sum()
-
-
-def _normalized_step(w: np.ndarray, grad_log: deque, learning_rate: float) -> bool:
-    if not grad_log:
-        return False
-    # np.mean's and np.linalg.norm's own arithmetic, without their wrappers
-    mean_grad = np.add.reduce(np.array(grad_log), axis=0) / len(grad_log)
-    norm = math.sqrt(np.vdot(mean_grad, mean_grad))
-    if norm <= _ZERO_NORM_GUARD:
-        return False
-    w -= learning_rate * (mean_grad / norm)
-    return True
-
-
 class MlpBidController:
     """The MLP controller of one campaign: its weights, the snapshots of the
-    last two periods it ran, its next input, and its gradient windows."""
+    last two periods it ran, its next input, and its gradient window."""
 
     def __init__(self, constraints: ConstraintSet,
                  config: MlpControllerConfig | None = None):
@@ -205,19 +139,32 @@ class MlpBidController:
         self.config = config = config if config is not None else MlpControllerConfig()
         config.check_constraints(constraints)
         self.constraints = constraints
+        hidden = config.hidden_dim
         dim = input_dim(len(constraints.constraints), config.feature_set)
         rng = np.random.default_rng(config.rng_seed)
-        self.w_enc = rng.uniform(-0.1, 0.1, size=(config.hidden_dim, dim))
-        self.w_dec = rng.uniform(-0.1, 0.1, size=config.hidden_dim)
+        self.w_enc = rng.uniform(-0.1, 0.1, size=(hidden, dim))
+        self.w_dec = rng.uniform(-0.1, 0.1, size=hidden)
         self.u_curr = self.u_prev = config.u_max / 2.0
-        self.h_curr = np.zeros(config.hidden_dim)
+        self.h_curr = np.zeros(hidden)
+        # the logistic of w_dec @ h_curr, which forward computes and backward reuses
+        self.s_curr = _sigmoid(float(self.w_dec @ self.h_curr))
         zero = PeriodFeedback()  # the cumulative feedback before the first period
         self.x_next = build_input(normalized_feedback(constraints, zero), zero, config.feature_set)
         # the previous period's own counters over targets, which the slope
         # estimate differences against; None until a period has ended
         self.resp_prev: Optional[Sequence[float]] = None
-        self.grad_log_enc: deque = deque(maxlen=config.grad_window)
-        self.grad_log_dec: deque = deque(maxlen=config.grad_window)
+        # The gradient window: row -1 holds the newest period's gradients of
+        # both layers, and the last grad_rows rows (at most grad_window) are
+        # the ones logged so far.  grad_enc and grad_dec view its two parts.
+        window, n_enc = config.grad_window, hidden * dim
+        self.grad = np.zeros((window, n_enc + hidden))
+        self.grad_enc = self.grad[:, :n_enc].reshape(window, hidden, dim)
+        self.grad_dec = self.grad[:, n_enc:]
+        self.grad_rows = 0
+        # the update's scratch row: the mean gradient of each matrix, then its step
+        self._step = np.zeros(n_enc + hidden)
+        self._step_enc = self._step[:n_enc].reshape(hidden, dim)
+        self._step_dec = self._step[n_enc:]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """One forward pass; rolls the current/previous snapshots."""
@@ -226,16 +173,17 @@ class MlpBidController:
                 f"input has {x.shape[0]} entries, encoding layer expects {self.w_enc.shape[1]}")
         u_max = self.config.u_max
         h = self.w_enc @ x
-        u = u_max * _sigmoid(float(self.w_dec @ h))
-        u = min(max(u, u_max * _U_MARGIN), u_max * (1.0 - _U_MARGIN))
-        self.x_curr = x
+        s = _sigmoid(float(self.w_dec @ h))
+        u = min(max(u_max * s, u_max * _U_MARGIN), u_max * (1.0 - _U_MARGIN))
+        self.x_curr, self.s_curr = x, s
         self.h_prev, self.h_curr = self.h_curr, h
         self.u_prev, self.u_curr = self.u_curr, u
         return h, u
 
     def backward(self, xhat: Sequence[float], period: PeriodFeedback,
-                 elapsed_fraction: float = 1.0) -> tuple[np.ndarray, np.ndarray] | None:
-        """Assemble the approximated gradients for both layers and log them.
+                 elapsed_fraction: float = 1.0) -> None:
+        """Assemble the approximated gradients for both layers and log them
+        as the newest row of the gradient window.
 
         ``xhat`` is the cumulative feedback after the period just run over its
         targets, and ``period`` that period's own counters.  The KPI error
@@ -243,35 +191,72 @@ class MlpBidController:
         period's own response with the adjustment delta, since it is the
         per-period response that actually reacts to the current adjustment.
         Swaps this period's response into ``resp_prev``; with none before it
-        (the first period) it returns None and logs no gradient.
+        (the first period) it logs no gradient.
         """
         constraints, config = self.constraints, self.config
         resp = normalized_feedback(constraints, period)
         resp_prev, self.resp_prev = self.resp_prev, resp
         if resp_prev is None:
-            return None
-        zhat = reference_vector(constraints, elapsed_fraction, config.budget_error_mode)
-        chain = partial_j2(config.control_weight, self.u_curr, self.u_prev)
-        for c, x, z, r, r_prev in zip(constraints.constraints, xhat, zhat, resp, resp_prev):
-            slope = approx_dxdu(r, r_prev, self.u_curr, self.u_prev)
-            chain += partial_j1(c.error_weight, x, z) * slope
-        du_dh, du_dwd = sigmoid_layer_grads(self.w_dec, self.h_curr, config.u_max)
-        g_dec = chain * du_dwd
-        dh_dwe = approx_dhdwe(self.x_curr, self.h_curr, self.h_prev, self.u_curr, self.u_prev)
-        g_enc = chain * np.multiply.outer(du_dh, dh_dwe)
-        self.grad_log_enc.append(g_enc)
-        self.grad_log_dec.append(g_dec)
-        return g_enc, g_dec
+            return
+        du = self.u_curr - self.u_prev
+        paced = config.budget_error_mode is BudgetErrorMode.PACED
+        # dJ/du: the control penalty's slope 2 r du, plus each KPI error's
+        # slope 2 q (xhat - zhat) times the sign of the last two periods'
+        # response delta times du (0 when either delta is zero).  The
+        # reference zhat is 1, or the elapsed fraction for a paced budget.
+        chain = 2.0 * config.control_weight * du
+        for c, x, r, r_prev in zip(constraints.constraints, xhat, resp, resp_prev):
+            z = float(elapsed_fraction) if paced and c.kind is KpiKind.BUDGET else 1.0
+            product = (r - r_prev) * du
+            sign = 1.0 if product > 0.0 else -1.0 if product < 0.0 else 0.0
+            chain += 2.0 * c.error_weight * (x - z) * sign
+        # the logistic's slope at this period's activation, from forward's s:
+        # du/dh = slope * w_dec and du/dw_dec = slope * h_curr
+        s = self.s_curr
+        slope = config.u_max * (s * (1.0 - s))
+        # Hebbian encoding-layer factor: the input scaled by the summed sign
+        # correlations between hidden-unit deltas and du; np.sign gives only
+        # -1, 0, 1 (or NaN), so the sum is exact in any order
+        hebb = self.x_curr * sum(np.sign((self.h_curr - self.h_prev) * du).tolist())
+        grad = self.grad
+        grad[:-1] = grad[1:]  # the oldest row drops out
+        np.multiply((slope * self.w_dec)[:, None], hebb, self.grad_enc[-1])
+        np.multiply(self.h_curr, slope, self.grad_dec[-1])
+        grad[-1] *= chain
+        self.grad_rows = min(self.grad_rows + 1, len(grad))
+
+    def _update(self) -> tuple[bool, bool]:
+        """The update of apply_update and end_period: whether each matrix stepped."""
+        rows = self.grad_rows
+        if not rows:
+            return False, False
+        first = len(self.grad) - rows
+        step, step_enc, step_dec = self._step, self._step_enc, self._step_dec
+        # np.mean's and np.linalg.norm's own arithmetic, without their wrappers
+        np.add.reduce(self.grad_enc[first:], 0, None, step_enc)
+        np.add.reduce(self.grad_dec[first:], 0, None, step_dec)
+        step /= rows
+        norm_enc = math.sqrt(np.vdot(step_enc, step_enc))
+        norm_dec = math.sqrt(np.vdot(step_dec, step_dec))
+        # "not <=", so that a NaN norm still steps
+        enc_applied = not norm_enc <= _ZERO_NORM_GUARD
+        dec_applied = not norm_dec <= _ZERO_NORM_GUARD
+        if enc_applied:
+            step_enc /= norm_enc
+        if dec_applied:
+            step_dec /= norm_dec
+        step *= self.config.learning_rate
+        if enc_applied:
+            self.w_enc -= step_enc
+        if dec_applied:
+            self.w_dec -= step_dec
+        return enc_applied, dec_applied
 
     def apply_update(self) -> UpdateResult:
         """Take one fixed-norm step per weight matrix from the windowed mean
         gradient; a matrix whose mean gradient is (numerically) zero is left
         untouched."""
-        learning_rate = self.config.learning_rate
-        return UpdateResult(
-            enc_applied=_normalized_step(self.w_enc, self.grad_log_enc, learning_rate),
-            dec_applied=_normalized_step(self.w_dec, self.grad_log_dec, learning_rate),
-        )
+        return UpdateResult(*self._update())
 
     def begin_period(self) -> float:
         """Produce this period's adjustment from cumulative feedback so far."""
@@ -283,5 +268,5 @@ class MlpBidController:
         The first period logs no gradient, so its update leaves both matrices as they are."""
         xhat = normalized_feedback(self.constraints, feedback)
         self.backward(xhat, period, elapsed_fraction)
-        self.apply_update()
+        self._update()
         self.x_next = build_input(xhat, feedback, self.config.feature_set)

@@ -117,14 +117,14 @@ class PeriodFeedback:
     sum_pcvr: float = 0.0
 
     def __add__(self, other: "PeriodFeedback") -> "PeriodFeedback":
-        return PeriodFeedback(
-            bids_participated=self.bids_participated + other.bids_participated,
-            impressions=self.impressions + other.impressions,
-            clicks=self.clicks + other.clicks,
-            conversions=self.conversions + other.conversions,
-            cost=self.cost + other.cost,
-            sum_pctr=self.sum_pctr + other.sum_pctr,
-            sum_pcvr=self.sum_pcvr + other.sum_pcvr,
+        return PeriodFeedback(  # positional, in field order
+            self.bids_participated + other.bids_participated,
+            self.impressions + other.impressions,
+            self.clicks + other.clicks,
+            self.conversions + other.conversions,
+            self.cost + other.cost,
+            self.sum_pctr + other.sum_pctr,
+            self.sum_pcvr + other.sum_pcvr,
         )
 
     @property

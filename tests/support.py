@@ -6,6 +6,7 @@ vectorized simulator it checks.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -13,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from rtblab import BidLog, BudgetErrorMode, KpiKind, PeriodFeedback
+from rtblab import BidLog, BudgetErrorMode, FeatureSet, KpiKind, PeriodFeedback
 from rtblab.data import CANONICAL_HEADER
 
 
@@ -214,3 +215,142 @@ def normalized_step_stacked(w: np.ndarray, grad_log: deque, learning_rate: float
         return False
     w -= learning_rate * (mean_grad / norm)
     return True
+
+
+# ---------------------------------------------------------------------------
+# The reference MLP: the controller's per-period arithmetic one helper at a
+# time, with each gradient window a deque of per-period matrices stacked by
+# np.array at every update.  MlpBidController must match it bit for bit.
+
+def partial_j1(q: float, x: float, z: float) -> float:
+    """Slope of the weighted squared KPI error with respect to the feedback."""
+    return 2.0 * q * (x - z)
+
+
+def partial_j2(r: float, u_curr: float, u_prev: float) -> float:
+    """Slope of the control penalty with respect to the current adjustment
+    (the previous adjustment is held constant)."""
+    return 2.0 * r * (u_curr - u_prev)
+
+
+def approx_dxdu(x_curr: float, x_prev: float, u_curr: float, u_prev: float) -> float:
+    """Sign estimate of the feedback-vs-adjustment slope from the last two
+    periods; 0 when either delta is zero (no evidence, no direction)."""
+    product = (x_curr - x_prev) * (u_curr - u_prev)
+    if product > 0.0:
+        return 1.0
+    if product < 0.0:
+        return -1.0
+    return 0.0
+
+
+def sigmoid(a: float) -> float:
+    if a >= 0.0:
+        return 1.0 / (1.0 + math.exp(-a))
+    e = math.exp(a)
+    return e / (1.0 + e)
+
+
+def sigmoid_layer_grads(w_dec: np.ndarray, h: np.ndarray,
+                        u_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact decision-layer gradients: du/dh and du/dw_dec."""
+    s = sigmoid(float(w_dec @ h))
+    slope = u_max * (s * (1.0 - s))
+    return slope * w_dec, slope * h
+
+
+def approx_dhdwe(x: np.ndarray, h_curr: np.ndarray, h_prev: np.ndarray,
+                 u_curr: float, u_prev: float) -> np.ndarray:
+    """Hebbian-style encoding-layer factor: the input vector scaled by the
+    summed sign correlations between hidden-unit deltas and the adjustment
+    delta."""
+    return x * np.sign((h_curr - h_prev) * (u_curr - u_prev)).sum()
+
+
+def reference_vector(constraints, elapsed_fraction: float,
+                     mode: BudgetErrorMode) -> list[float]:
+    """Per-constraint reference the normalized feedback is steered to."""
+    paced = mode is BudgetErrorMode.PACED
+    return [float(elapsed_fraction) if paced and c.kind is KpiKind.BUDGET else 1.0
+            for c in constraints.constraints]
+
+
+def normalized_step(w: np.ndarray, grad_log: deque, learning_rate: float,
+                    zero_norm_guard: float = 1e-12) -> bool:
+    """Fixed-norm step along the windowed mean gradient, the window stacked
+    by np.array and reduced by np.add.reduce."""
+    if not grad_log:
+        return False
+    mean_grad = np.add.reduce(np.array(grad_log), axis=0) / len(grad_log)
+    norm = math.sqrt(np.vdot(mean_grad, mean_grad))
+    if norm <= zero_norm_guard:
+        return False
+    w -= learning_rate * (mean_grad / norm)
+    return True
+
+
+def input_list(xhat, feedback: PeriodFeedback, feature_set: FeatureSet) -> np.ndarray:
+    """The input vector [1, xhat_1, 1, xhat_2, ...] + the extra rate features."""
+    parts: list[float] = []
+    for value in xhat:
+        parts += (1.0, value)
+    if feature_set in (FeatureSet.POSTERIOR, FeatureSet.FULL):
+        parts += (feedback.ctr, feedback.cvr)
+    if feature_set in (FeatureSet.PRIOR, FeatureSet.FULL):
+        parts += (feedback.mean_pctr, feedback.mean_pcvr)
+    return np.array(parts)
+
+
+class ReferenceMlp:
+    """The MLP controller's period protocol over the helpers above."""
+
+    def __init__(self, constraints, config):
+        self.constraints, self.config = constraints, config
+        zero = PeriodFeedback()
+        self.x_next = input_list(self._ratios(zero), zero, config.feature_set)
+        rng = np.random.default_rng(config.rng_seed)
+        self.w_enc = rng.uniform(-0.1, 0.1, size=(config.hidden_dim, len(self.x_next)))
+        self.w_dec = rng.uniform(-0.1, 0.1, size=config.hidden_dim)
+        self.u_curr = self.u_prev = config.u_max / 2.0
+        self.h_curr = np.zeros(config.hidden_dim)
+        self.resp_prev = None
+        self.grad_log_enc: deque = deque(maxlen=config.grad_window)
+        self.grad_log_dec: deque = deque(maxlen=config.grad_window)
+
+    def _ratios(self, feedback: PeriodFeedback) -> list[float]:
+        return [c.normalized(feedback) for c in self.constraints.constraints]
+
+    def begin_period(self) -> float:
+        u_max, x = self.config.u_max, self.x_next
+        h = self.w_enc @ x
+        u = u_max * sigmoid(float(self.w_dec @ h))
+        u = min(max(u, u_max * 1e-12), u_max * (1.0 - 1e-12))
+        self.x_curr = x
+        self.h_prev, self.h_curr = self.h_curr, h
+        self.u_prev, self.u_curr = self.u_curr, u
+        return u
+
+    def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
+                   elapsed_fraction: float = 1.0) -> tuple[bool, bool]:
+        """Learn from the period; returns whether each matrix stepped."""
+        config = self.config
+        xhat = self._ratios(feedback)
+        resp = self._ratios(period)
+        resp_prev, self.resp_prev = self.resp_prev, resp
+        if resp_prev is not None:
+            zhat = reference_vector(self.constraints, elapsed_fraction,
+                                    config.budget_error_mode)
+            chain = partial_j2(config.control_weight, self.u_curr, self.u_prev)
+            for c, x, z, r, r_prev in zip(self.constraints.constraints, xhat, zhat,
+                                          resp, resp_prev):
+                slope = approx_dxdu(r, r_prev, self.u_curr, self.u_prev)
+                chain += partial_j1(c.error_weight, x, z) * slope
+            du_dh, du_dwd = sigmoid_layer_grads(self.w_dec, self.h_curr, config.u_max)
+            dh_dwe = approx_dhdwe(self.x_curr, self.h_curr, self.h_prev,
+                                  self.u_curr, self.u_prev)
+            self.grad_log_enc.append(chain * np.multiply.outer(du_dh, dh_dwe))
+            self.grad_log_dec.append(chain * du_dwd)
+        stepped = (normalized_step(self.w_enc, self.grad_log_enc, config.learning_rate),
+                   normalized_step(self.w_dec, self.grad_log_dec, config.learning_rate))
+        self.x_next = input_list(xhat, feedback, config.feature_set)
+        return stepped

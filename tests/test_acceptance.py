@@ -30,9 +30,9 @@ from rtblab import (
     run_experiment,
     sweep_sparsity,
 )
-from rtblab.controller import normalized_feedback, partial_j1, partial_j2, sigmoid_layer_grads
+from rtblab.controller import normalized_feedback
 from rtblab.harness import spec_from_dict, spec_to_dict
-from support import max_price, records
+from support import max_price, partial_j1, partial_j2, records, sigmoid, sigmoid_layer_grads
 
 # conversion-dense monotone environment used by the closed-loop criteria
 DENSE_ENV = dict(ctr_true=0.6, cvr_true=0.8, price_log_mean=8.19, price_log_sigma=0.8,
@@ -109,9 +109,11 @@ def test_02_one_dimensional_chain_oracle():
         state.w_enc, state.w_dec = np.array([[0.1, 0.1]]), np.array([wd])
         state.u_curr, state.u_prev, state.h_curr, state.h_prev = u, up, np.array([h]), np.array([hp])
         state.x_curr, state.resp_prev = x.copy(), np.array([resp_prev])
+        state.s_curr = sigmoid(wd * h)  # what forward would have kept for this state
         fb = PeriodFeedback(conversions=conv, cost=cost)
         period = PeriodFeedback(conversions=conv - conv_prev, cost=cost - cost_prev)
-        g_enc, g_dec = state.backward(normalized_feedback(constraints, fb), period)
+        state.backward(normalized_feedback(constraints, fb), period)
+        g_enc, g_dec = state.grad_enc[-1], state.grad_dec[-1]
 
         # independent fully written-out scalar chain
         def sgn(v):

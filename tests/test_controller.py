@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtblab import (
@@ -15,6 +15,8 @@ from rtblab import (
     FixedBidController,
     MlpBidController,
     MlpControllerConfig,
+    KpiConstraint,
+    KpiKind,
     PidController,
     SimConfig,
     SynthConfig,
@@ -22,23 +24,22 @@ from rtblab import (
     run_campaign,
 )
 from rtblab.auction import PeriodController
-from rtblab.controller import (
-    _normalized_step,
-    approx_dhdwe,
-    approx_dxdu,
-    build_input,
-    input_dim,
-    normalized_feedback,
-    partial_j1,
-    partial_j2,
-    sigmoid_layer_grads,
-)
+from rtblab.controller import build_input, input_dim, normalized_feedback
 from support import (
+    ReferenceMlp,
+    approx_dhdwe,
     approx_dhdwe_loop,
+    approx_dxdu,
     cost_value,
     feedback,
     kpi_error,
+    normalized_step,
     normalized_step_stacked,
+    partial_j1,
+    partial_j2,
+    random_log,
+    sigmoid,
+    sigmoid_layer_grads,
 )
 
 SINGLE = ConstraintSet.single_ppc(1800)
@@ -48,7 +49,8 @@ MULTI = ConstraintSet.ppc_and_budget(1800, 100_000)
 def make_controller(w_enc, w_dec, u_curr=0.5, u_prev=0.5, h_curr=None, h_prev=None,
                     x_curr=None, resp_prev=None, window=4, constraints=SINGLE, config=None):
     """A controller whose state is set to the given values; ``window`` is
-    its grad_window unless ``config`` is given."""
+    its grad_window unless ``config`` is given.  ``s_curr`` is set from
+    ``w_dec`` and ``h_curr``, as forward would have set it."""
     w_enc = np.asarray(w_enc, dtype=float)
     w_dec = np.asarray(w_dec, dtype=float)
     hidden, dim = w_enc.shape
@@ -60,6 +62,7 @@ def make_controller(w_enc, w_dec, u_curr=0.5, u_prev=0.5, h_curr=None, h_prev=No
     c.h_prev = np.asarray(h_prev, float) if h_prev is not None else zeros_h.copy()
     c.x_curr = np.asarray(x_curr, float) if x_curr is not None else zeros_x
     c.resp_prev = np.asarray(resp_prev, float) if resp_prev is not None else None
+    c.s_curr = sigmoid(float(c.w_dec @ c.h_curr))
     return c
 
 
@@ -294,32 +297,56 @@ class TestAgainstArrayOracles:
         assert hexes(approx_dhdwe(x, h_curr, h_prev, u, u_prev)) == \
             hexes(approx_dhdwe_loop(x, h_curr, h_prev, u, u_prev))
 
-    @given(shape=st.sampled_from([(1,), (8,), (1, 1), (1, 4), (8, 6)]),
+    @given(hidden=st.integers(1, 8), feature_set=st.sampled_from(list(FeatureSet)),
            grad_window=st.integers(1, 12), data=st.data())
-    def test_normalized_step_equals_stacked_mean(self, shape, grad_window, data):
-        size = int(np.prod(shape))
+    def test_normalized_step_equals_stacked_mean(self, hidden, feature_set, grad_window, data):
+        # the update over the controller's window, against both oracles
+        state = MlpBidController(SINGLE, MlpControllerConfig(
+            hidden_dim=hidden, feature_set=feature_set, grad_window=grad_window))
         window = data.draw(st.integers(1, grad_window))
-        grads = [np.array(data.draw(st.lists(_entry, min_size=size, max_size=size))).reshape(shape)
-                 for _ in range(window)]
-        grad_log = deque(grads, maxlen=grad_window)
-        w = np.array(data.draw(st.lists(_entry, min_size=size, max_size=size))).reshape(shape)
-        w_new, w_old = w.copy(), w.copy()
-        assert _normalized_step(w_new, grad_log, 0.01) == \
-            normalized_step_stacked(w_old, grad_log, 0.01)
-        assert hexes(w_new) == hexes(w_old)
+
+        def draw(shape):
+            size = int(np.prod(shape))
+            return np.array(data.draw(st.lists(_entry, min_size=size, max_size=size))).reshape(shape)
+
+        grads = [(draw(state.w_enc.shape), draw(state.w_dec.shape)) for _ in range(window)]
+        state.w_enc, state.w_dec = draw(state.w_enc.shape), draw(state.w_dec.shape)
+        expected = []
+        for k, w in enumerate((state.w_enc, state.w_dec)):
+            grad_log = deque((g[k] for g in grads), maxlen=grad_window)
+            w_old, w_ref = w.copy(), w.copy()
+            stepped = normalized_step_stacked(w_old, grad_log, 0.01)
+            assert stepped == normalized_step(w_ref, grad_log, 0.01)
+            assert hexes(w_old) == hexes(w_ref)
+            expected.append((stepped, w_old))
+        log_gradients(state, *grads)
+        result = state.apply_update()
+        assert (result.enc_applied, result.dec_applied) == (expected[0][0], expected[1][0])
+        assert hexes(state.w_enc) == hexes(expected[0][1])
+        assert hexes(state.w_dec) == hexes(expected[1][1])
 
     def test_normalized_step_equals_stacked_mean_on_long_windows(self):
         # realistic magnitudes, over windows longer than the default of 4
         rng = np.random.default_rng(5)
         for _ in range(300):
-            shape = ((1,), (1, 1), (3,), (8, 6))[int(rng.integers(4))]
+            hidden = int(rng.integers(1, 9))
+            feature_set = list(FeatureSet)[int(rng.integers(4))]
             window = int(rng.integers(8, 17))
-            grad_log = deque((rng.normal(size=shape) for _ in range(window)), maxlen=window)
-            w_new = rng.normal(size=shape)
-            w_old = w_new.copy()
-            assert _normalized_step(w_new, grad_log, 0.01)
-            assert normalized_step_stacked(w_old, grad_log, 0.01)
-            assert hexes(w_new) == hexes(w_old)
+            state = MlpBidController(SINGLE, MlpControllerConfig(
+                hidden_dim=hidden, feature_set=feature_set, grad_window=window))
+            grads = [(rng.normal(size=state.w_enc.shape), rng.normal(size=hidden))
+                     for _ in range(window)]
+            state.w_enc, state.w_dec = rng.normal(size=state.w_enc.shape), rng.normal(size=hidden)
+            expected = []
+            for k, w in enumerate((state.w_enc, state.w_dec)):
+                w_old = w.copy()
+                assert normalized_step_stacked(w_old, deque(g[k] for g in grads), 0.01)
+                expected.append(w_old)
+            log_gradients(state, *grads)
+            result = state.apply_update()
+            assert result.enc_applied and result.dec_applied
+            assert hexes(state.w_enc) == hexes(expected[0])
+            assert hexes(state.w_dec) == hexes(expected[1])
 
 
 def hand_expanded_1d(q, r, target, cost, conv, cost_prev, conv_prev, resp_prev,
@@ -340,6 +367,11 @@ def hand_expanded_1d(q, r, target, cost, conv, cost_prev, conv_prev, resp_prev,
     return np.array(g_enc), np.array(g_dec)
 
 
+def newest_gradients(state) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the gradients backward logged last: the window's row -1."""
+    return state.grad_enc[-1].copy(), state.grad_dec[-1].copy()
+
+
 class TestBackward:
     def test_stationary_point_gives_zero_gradients(self):
         config = MlpControllerConfig(hidden_dim=1, feature_set=FeatureSet.NONE)
@@ -347,8 +379,9 @@ class TestBackward:
         state = make_controller([[0.1, 0.2]], [0.3], u_curr=0.5, u_prev=0.5,
                                 h_curr=[1.0], h_prev=[0.5], x_curr=[1.0, 1.0],
                                 resp_prev=[1.0], config=config)
-        g_enc, g_dec = state.backward(normalized_feedback(SINGLE, fb),
-                                      feedback(conv=6, cost=10_800))
+        state.backward(normalized_feedback(SINGLE, fb), feedback(conv=6, cost=10_800))
+        assert state.grad_rows == 1
+        g_enc, g_dec = newest_gradients(state)
         assert np.all(g_enc == 0.0) and np.all(g_dec == 0.0)
 
     def test_matches_hand_expansion_1d(self):
@@ -373,8 +406,8 @@ class TestBackward:
                                     h_curr=[h], h_prev=[hp], x_curr=x,
                                     resp_prev=[resp_prev], constraints=constraints, config=config)
             xhat = normalized_feedback(constraints, feedback(conv=conv, cost=cost))
-            g_enc, g_dec = state.backward(xhat, feedback(conv=conv - conv_prev,
-                                                         cost=cost - cost_prev))
+            state.backward(xhat, feedback(conv=conv - conv_prev, cost=cost - cost_prev))
+            g_enc, g_dec = newest_gradients(state)
             ref_enc, ref_dec = hand_expanded_1d(q, r, 1800, cost, conv, cost_prev, conv_prev,
                                                 resp_prev, u, up, wd, h, hp, x, u_max)
             assert np.allclose(g_enc, ref_enc, rtol=1e-12, atol=1e-12)
@@ -388,8 +421,9 @@ class TestBackward:
         state = make_controller([[0.1, 0.1]], [0.4], u_curr=0.7, u_prev=0.5,
                                 h_curr=[1.2], h_prev=[0.8], x_curr=[1.0, 0.5],
                                 resp_prev=[0.2], constraints=constraints, config=config)
-        g_enc, g_dec = state.backward(normalized_feedback(constraints, feedback(conv=1, cost=9000)),
-                                      feedback(conv=1, cost=9000))
+        state.backward(normalized_feedback(constraints, feedback(conv=1, cost=9000)),
+                       feedback(conv=1, cost=9000))
+        g_enc, g_dec = newest_gradients(state)
         chain = partial_j2(2.0, 0.7, 0.5)
         du_dh, du_dwd = sigmoid_layer_grads(np.array([0.4]), np.array([1.2]), 1.0)
         hebb = approx_dhdwe(np.array([1.0, 0.5]), np.array([1.2]), np.array([0.8]), 0.7, 0.5)
@@ -397,15 +431,29 @@ class TestBackward:
         assert np.allclose(g_enc, chain * np.outer(du_dh, hebb), rtol=1e-12)
 
     def test_gradients_are_logged(self):
+        # the window keeps the last grad_window gradients, oldest first
         config = MlpControllerConfig(hidden_dim=1, feature_set=FeatureSet.NONE, grad_window=2)
         state = make_controller([[0.1, 0.1]], [0.4], u_curr=0.7, u_prev=0.5,
                                 h_curr=[1.2], h_prev=[0.8], x_curr=[1.0, 0.5],
                                 resp_prev=[0.2], config=config)
-        for _ in range(3):
-            state.backward(normalized_feedback(SINGLE, feedback(conv=1, cost=9000)),
-                           feedback(conv=1, cost=9000))
-        assert len(state.grad_log_enc) == 2  # ring buffer caps at the window
-        assert len(state.grad_log_dec) == 2
+        logged = []
+        for k in range(3):
+            state.backward(normalized_feedback(SINGLE, feedback(conv=1, cost=9000 * (k + 1))),
+                           feedback(conv=1, cost=9000 * (k + 1)))
+            logged.append(newest_gradients(state))
+            assert state.grad_rows == min(k + 1, 2)
+        assert state.grad_enc.shape == (2, 1, 2) and state.grad_dec.shape == (2, 1)
+        for row, (g_enc, g_dec) in zip((0, 1), logged[1:]):
+            assert state.grad_enc[row].tobytes() == g_enc.tobytes()
+            assert state.grad_dec[row].tobytes() == g_dec.tobytes()
+
+
+def log_gradients(state, *gradients) -> None:
+    """Put ``(g_enc, g_dec)`` pairs in the window, oldest first, as backward would."""
+    for g_enc, g_dec in gradients:
+        state.grad[:-1] = state.grad[1:]
+        state.grad_enc[-1], state.grad_dec[-1] = g_enc, g_dec
+    state.grad_rows = min(state.grad_rows + len(gradients), len(state.grad))
 
 
 class TestApplyUpdate:
@@ -413,8 +461,7 @@ class TestApplyUpdate:
 
     def test_zero_gradients_skip(self):
         state = MlpBidController(SINGLE, self.config)
-        state.grad_log_enc.append(np.zeros((2, 2)))
-        state.grad_log_dec.append(np.zeros(2))
+        log_gradients(state, (np.zeros((2, 2)), np.zeros(2)))
         before_enc, before_dec = state.w_enc.copy(), state.w_dec.copy()
         result = state.apply_update()
         assert not result.enc_applied and not result.dec_applied
@@ -424,8 +471,7 @@ class TestApplyUpdate:
     def test_single_gradient_step_has_norm_eta(self):
         state = MlpBidController(SINGLE, self.config)
         rng = np.random.default_rng(3)
-        state.grad_log_enc.append(rng.normal(size=(2, 2)) * 37.0)
-        state.grad_log_dec.append(rng.normal(size=2) * 0.001)
+        log_gradients(state, (rng.normal(size=(2, 2)) * 37.0, rng.normal(size=2) * 0.001))
         before_enc, before_dec = state.w_enc.copy(), state.w_dec.copy()
         result = state.apply_update()
         assert result.enc_applied and result.dec_applied
@@ -435,17 +481,103 @@ class TestApplyUpdate:
     def test_cancelling_gradients_skip(self):
         state = MlpBidController(SINGLE, self.config)
         g = np.array([[1.0, -2.0], [0.5, 0.25]])
-        state.grad_log_enc.append(g)
-        state.grad_log_enc.append(-g)
-        before = state.w_enc.copy()
+        d = np.array([0.3, -0.1])
+        log_gradients(state, (g, d), (-g, d))
+        before_enc, before_dec = state.w_enc.copy(), state.w_dec.copy()
         result = state.apply_update()
-        assert not result.enc_applied
-        assert np.array_equal(state.w_enc, before)
+        assert not result.enc_applied and result.dec_applied
+        assert np.array_equal(state.w_enc, before_enc)
+        assert not np.array_equal(state.w_dec, before_dec)
 
     def test_empty_log_skips(self):
         state = MlpBidController(SINGLE, self.config)
         result = state.apply_update()
         assert not result.enc_applied and not result.dec_applied
+
+
+class Lockstep:
+    """Runs an MlpBidController and the reference MLP (tests/support.py) on
+    the same feedback; after each call their adjustments and weights must
+    be equal byte for byte."""
+
+    def __init__(self, constraints, config):
+        self.mlp = MlpBidController(constraints, config)
+        self.ref = ReferenceMlp(constraints, config)
+        self.periods = self.zero_steps = 0
+
+    def begin_period(self) -> float:
+        u = self.mlp.begin_period()
+        assert np.float64(u).tobytes() == np.float64(self.ref.begin_period()).tobytes()
+        return u
+
+    def end_period(self, feedback, period, elapsed_fraction=1.0) -> None:
+        self.mlp.end_period(feedback, period, elapsed_fraction)
+        enc_stepped, dec_stepped = self.ref.end_period(feedback, period, elapsed_fraction)
+        if self.periods:  # after the first period, whose update has an empty window
+            self.zero_steps += (not enc_stepped) + (not dec_stepped)
+        self.periods += 1
+        assert self.mlp.w_enc.tobytes() == self.ref.w_enc.tobytes()
+        assert self.mlp.w_dec.tobytes() == self.ref.w_dec.tobytes()
+
+
+def lockstep_campaign(feature_set, grad_window, hidden_dim, mode, learning_rate, log_seed,
+                      rows=300, period_bids=10, rng_seed=0, control_weight=1.0, u_max=1.0,
+                      ppc_target=400, ppc_expected=10, budget=None):
+    """One campaign of a random log under a Lockstep controller; the budget
+    constraint is added when ``budget`` is given or ``mode`` is paced."""
+    if budget is None and mode is BudgetErrorMode.PACED:
+        budget = 20_000
+    kpis = (KpiConstraint(KpiKind.PPC_TARGET, ppc_target),)
+    if budget is not None:
+        kpis += (KpiConstraint(KpiKind.BUDGET, budget, 0.5),)
+    constraints = ConstraintSet(kpis, ppc_expected)
+    config = MlpControllerConfig(hidden_dim=hidden_dim, learning_rate=learning_rate,
+                                 grad_window=grad_window, control_weight=control_weight,
+                                 u_max=u_max, feature_set=feature_set,
+                                 budget_error_mode=mode, rng_seed=rng_seed)
+    controller = Lockstep(constraints, config)
+    log = random_log(np.random.default_rng(log_seed), rows)
+    sim = SimConfig(budget=budget if budget is not None else 10**12, period_bids=period_bids)
+    run_campaign(log, controller, constraints, sim)
+    return controller
+
+
+class TestAgainstReferenceMlp:
+    @settings(max_examples=150, deadline=None)
+    @given(feature_set=st.sampled_from(list(FeatureSet)), grad_window=st.integers(1, 6),
+           hidden_dim=st.integers(1, 8), mode=st.sampled_from(list(BudgetErrorMode)),
+           learning_rate=st.sampled_from([0.01, 0.1, 1.0, 30.0]),
+           log_seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 300),
+           period_bids=st.integers(1, 30), rng_seed=st.integers(0, 2**16),
+           control_weight=st.floats(0.1, 5.0), u_max=st.floats(0.5, 2.0),
+           ppc_target=st.integers(50, 5000), ppc_expected=st.integers(1, 40),
+           budget=st.one_of(st.none(), st.integers(500, 50_000)))
+    def test_every_period_matches_bit_for_bit(self, **campaign):
+        controller = lockstep_campaign(**campaign)
+        assert controller.periods >= 1
+
+    @pytest.mark.parametrize("feature_set", list(FeatureSet))
+    def test_zero_norm_windows_match(self, feature_set):
+        # a large step saturates the logistic: u sits at its clamp, du is 0,
+        # and windows of zero gradients leave a matrix unstepped
+        controller = lockstep_campaign(feature_set, 3, 1, BudgetErrorMode.FULL_BUDGET, 30.0,
+                                       log_seed=11, rows=2000, period_bids=5)
+        assert controller.zero_steps > 0
+
+    def test_cancelling_window_matches(self):
+        # opposite gradients in one window: the mean is exactly zero for the
+        # encoding layer, and the decoding layer still steps
+        config = MlpControllerConfig(hidden_dim=2, grad_window=3, feature_set=FeatureSet.NONE)
+        mlp = MlpBidController(SINGLE, config)
+        g, d = np.array([[1.0, -2.0], [0.5, 0.25]]), np.array([0.3, -0.1])
+        log_gradients(mlp, (g, d), (-g, 3 * d))
+        w_enc, w_dec = mlp.w_enc.copy(), mlp.w_dec.copy()
+        result = mlp.apply_update()
+        assert not result.enc_applied and result.dec_applied
+        assert not normalized_step(w_enc, deque([g, -g]), config.learning_rate)
+        assert normalized_step(w_dec, deque([d, 3 * d]), config.learning_rate)
+        assert mlp.w_enc.tobytes() == w_enc.tobytes()
+        assert mlp.w_dec.tobytes() == w_dec.tobytes()
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -550,7 +682,7 @@ class TestControllerLoop:
         c.end_period(fb, fb, 0.1)
         assert np.array_equal(c.w_enc, w_enc)
         assert c.resp_prev is not None
-        assert not c.grad_log_enc and not c.grad_log_dec
+        assert c.grad_rows == 0
 
 
 class TestPeriodProtocol:

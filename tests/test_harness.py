@@ -588,6 +588,67 @@ class TestAblation:
             run_ablation(spec)
 
 
+class CountingController:
+    """A built controller whose begin_period and end_period calls are counted."""
+
+    def __init__(self, inner, counts: dict):
+        self.inner, self.counts = inner, counts
+
+    def begin_period(self) -> float:
+        self.counts["begin_period"] += 1
+        return self.inner.begin_period()
+
+    def end_period(self, *args) -> None:
+        self.counts["end_period"] += 1
+        self.inner.end_period(*args)
+
+
+class TestCallPoints:
+    """The per-period call points a tracer wraps after import (run_period,
+    BidLog.segment and the built controllers' begin_period/end_period) are
+    each called once per period of every campaign, so a replay loop that
+    binds one of them early cannot hide its calls."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--synthetic", "3000", "--controller", "mlp", "--controller", "pid",
+         "--controller", "fixed", "--budget", "400000", "--ppc-target", "1800",
+         "--period-bids", "50"],
+        ["sweep-sparsity", "--synthetic", "2000", "--p-list", "0.2,0.7", "--trials", "3",
+         "--budget", "300000", "--ppc-target", "1800", "--period-bids", "40"],
+        ["ablation", "--synthetic", "2000", "--trials", "2", "--dropout", "0.3",
+         "--budget", "10000000", "--ppc-target", "1800", "--period-bids", "25"],
+    ], ids=["run", "sweep-sparsity", "ablation"])
+    def test_each_call_point_once_per_period(self, tmp_path, monkeypatch, argv):
+        counts = dict.fromkeys(("run_period", "segment", "begin_period", "end_period"), 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(auction, "run_period", counting("run_period", auction.run_period))
+        monkeypatch.setattr(BidLog, "segment", counting("segment", BidLog.segment))
+        built = harness.build_controller
+        monkeypatch.setattr(harness, "build_controller",
+                            lambda *args: CountingController(built(*args), counts))
+        campaigns = []
+        replay = harness.run_campaign
+
+        def run_campaign_counted(*args):
+            before = dict(counts)
+            result = replay(*args)
+            campaigns.append(({k: counts[k] - before[k] for k in counts}, len(result.trace)))
+            return result
+
+        monkeypatch.setattr(harness, "run_campaign", run_campaign_counted)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert len(campaigns) > 1
+        for calls, periods in campaigns:
+            assert periods > 0
+            assert calls == dict.fromkeys(counts, periods)
+
+
 class TestCli:
     def test_run_with_preset_prints_resolved_values(self, tmp_path, capsys):
         rc = main(["run", "--preset", "adequate", "--synthetic", "500",
