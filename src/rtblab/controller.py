@@ -97,7 +97,7 @@ _PRIOR = (FeatureSet.PRIOR, FeatureSet.FULL)
 
 
 def input_dim(n_constraints: int, feature_set: FeatureSet) -> int:
-    return 2 * n_constraints + 2 * (feature_set in _POSTERIOR) + 2 * (feature_set in _PRIOR)
+    return len(build_input([0.0] * n_constraints, PeriodFeedback(), feature_set))
 
 
 def normalized_feedback(constraints: ConstraintSet, feedback: PeriodFeedback) -> list[float]:
@@ -157,10 +157,11 @@ class MlpBidController:
         # both layers, and the last grad_rows rows (at most grad_window) are
         # the ones logged so far.  grad_enc and grad_dec view its two parts.
         window, n_enc = config.grad_window, hidden * dim
-        self.grad = np.zeros((window, n_enc + hidden))
-        self.grad_enc = self.grad[:, :n_enc].reshape(window, hidden, dim)
-        self.grad_dec = self.grad[:, n_enc:]
+        self.grad = grad = np.zeros((window, n_enc + hidden))
+        self.grad_enc = grad_enc = grad[:, :n_enc].reshape(window, hidden, dim)
+        self.grad_dec = grad_dec = grad[:, n_enc:]
         self.grad_rows = 0
+        self._newest, self._newest_enc, self._newest_dec = grad[-1], grad_enc[-1], grad_dec[-1]
         # the update's scratch row: the mean gradient of each matrix, then its step
         self._step = np.zeros(n_enc + hidden)
         self._step_enc = self._step[:n_enc].reshape(hidden, dim)
@@ -220,9 +221,9 @@ class MlpBidController:
         hebb = self.x_curr * sum(np.sign((self.h_curr - self.h_prev) * du).tolist())
         grad = self.grad
         grad[:-1] = grad[1:]  # the oldest row drops out
-        np.multiply((slope * self.w_dec)[:, None], hebb, self.grad_enc[-1])
-        np.multiply(self.h_curr, slope, self.grad_dec[-1])
-        grad[-1] *= chain
+        np.multiply((slope * self.w_dec)[:, None], hebb, self._newest_enc)
+        np.multiply(self.h_curr, slope, self._newest_dec)
+        self._newest *= chain
         self.grad_rows = min(self.grad_rows + 1, len(grad))
 
     def _update(self) -> tuple[bool, bool]:
