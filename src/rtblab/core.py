@@ -116,16 +116,6 @@ class PeriodFeedback:
     sum_pctr: float = 0.0
     sum_pcvr: float = 0.0
 
-    def __init__(self, bids_participated: int = 0, impressions: int = 0, clicks: int = 0,
-                 conversions: int = 0, cost: int = 0, sum_pctr: float = 0.0,
-                 sum_pcvr: float = 0.0) -> None:
-        # The replay builds two snapshots per period; one write of the
-        # instance dict costs about half of the generated frozen __init__,
-        # which sets each field through object.__setattr__.
-        self.__dict__.update(bids_participated=bids_participated, impressions=impressions,
-                             clicks=clicks, conversions=conversions, cost=cost,
-                             sum_pctr=sum_pctr, sum_pcvr=sum_pcvr)
-
     def __add__(self, other: "PeriodFeedback") -> "PeriodFeedback":
         return PeriodFeedback(  # positional, in field order
             self.bids_participated + other.bids_participated,
