@@ -142,8 +142,7 @@ def main(argv: list[str] | None = None) -> int:
                 name: entry["current"]["summary"][name]["median"]
                 / entry["baseline"]["summary"][name]["median"] - 1.0
                 for name in names if entry["baseline"]["summary"][name]["median"]}
-        entry["pairs" if "baseline" in trees else "runs"] = (
-            pairs if "baseline" in trees else [r["metrics"] for r in runs["current"]])
+        entry["pairs"] = pairs  # with no baseline, each holds the current side's run alone
         traced: dict[str, list[dict]] = {side: [] for side in trees}
         for i in range(TRACE_RUNS):
             for side in (list(trees) if i % 2 else list(reversed(trees))):
