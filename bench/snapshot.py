@@ -4,7 +4,8 @@ seed set, optionally paired against a baseline tree, plus one traced seed.
     python3 bench/snapshot.py --out BENCH_23.json --baseline-rev b90a301
 
 Each run is one ``perfbench/run.py`` process, started in the tree it
-measures.  With a baseline, every seed is one pair: the baseline and the
+measures, for every workload of ``BENCHMARK.json`` at its ``run_seconds``
+and every seed of ``SEEDS``.  With a baseline, every seed is one pair: the baseline and the
 current tree run back to back, and the side that runs first alternates
 from pair to pair, so a slow or fast spell of the host lands on both sides
 alike.  The file holds the ``env`` block of each side, every run's
@@ -26,6 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"  # exported baseline trees
+# one run (or pair) per seed, for every workload
+SEEDS = tuple(range(10, 20))
 # traced runs per side of the first seed, interleaved; a single traced run
 # spreads too widely on a shared host, so each per-layer metric is their median
 TRACE_RUNS = 3
@@ -84,26 +87,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--baseline-rev", help="a git revision to export and pair against")
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated; default: every workload in BENCHMARK.json")
-    parser.add_argument("--seeds", default="10,11,12,13,14,15,16,17,18,19",
-                        help="comma-separated seeds, one run (or pair) each")
-    parser.add_argument("--seconds", type=int, default=10, help="--seconds of each run")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
-    seeds = [int(s) for s in args.seeds.split(",")]
-    trace_seed = seeds[0]
+    seconds = bench["run_seconds"]
+    trace_seed = SEEDS[0]
     trees = {"current": ROOT}
     if args.baseline_rev:
         trees["baseline"] = export_tree(args.baseline_rev)
 
     out = {"command": ["python3", "bench/snapshot.py", *(argv if argv is not None
                                                           else sys.argv[1:])],
-           "seconds": args.seconds, "seeds": seeds, "env": {}, "workloads": {},
+           "seconds": seconds, "seeds": list(SEEDS), "env": {}, "workloads": {},
            # the commit each side's files come from; the current side's files
            # may be modified from it
            "trees": {"current": {"commit": git("rev-parse", "HEAD") or "unknown",
@@ -111,14 +107,14 @@ def main(argv: list[str] | None = None) -> int:
                                                       "--untracked-files=no"))}}}
     if args.baseline_rev:
         out["trees"]["baseline"] = {"commit": git("rev-parse", args.baseline_rev) or "unknown"}
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs: dict[str, list[dict]] = {side: [] for side in trees}
         pairs = []
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(SEEDS):
             order = list(trees) if i % 2 else list(reversed(trees))
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                run = run_once(trees[side], workload, seed, args.seconds, trace=0)
+                run = run_once(trees[side], workload, seed, seconds, trace=0)
                 out["env"].setdefault(side, run.pop("env"))
                 runs[side].append(run)
                 pair[side] = run["metrics"]
@@ -146,8 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         traced: dict[str, list[dict]] = {side: [] for side in trees}
         for i in range(TRACE_RUNS):
             for side in (list(trees) if i % 2 else list(reversed(trees))):
-                traced[side].append(run_once(trees[side], workload, trace_seed, args.seconds,
-                                             trace=1))
+                traced[side].append(run_once(trees[side], workload, trace_seed, seconds, trace=1))
                 print(f"{workload} traced seed {trace_seed} {side}: "
                       f"correct={traced[side][-1]['correct']}", flush=True)
         entry["traced"] = {"seed": trace_seed, "runs": TRACE_RUNS}

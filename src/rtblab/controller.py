@@ -146,26 +146,47 @@ class MlpBidController:
         self.w_dec = rng.uniform(-0.1, 0.1, size=hidden)
         self.u_curr = self.u_prev = config.u_max / 2.0
         self.h_curr = np.zeros(hidden)
-        # the logistic of w_dec @ h_curr, which forward computes and backward reuses
-        self.s_curr = _sigmoid(float(self.w_dec @ self.h_curr))
+        # the logistic of w_dec @ h_curr, which forward keeps for backward;
+        # None when backward must compute it afresh
+        self.s_curr: Optional[float] = None
         zero = PeriodFeedback()  # the cumulative feedback before the first period
         self.x_next = build_input(normalized_feedback(constraints, zero), zero, config.feature_set)
         # the previous period's own counters over targets, which the slope
         # estimate differences against; None until a period has ended
         self.resp_prev: Optional[Sequence[float]] = None
-        # The gradient window: row -1 holds the newest period's gradients of
-        # both layers, and the last grad_rows rows (at most grad_window) are
-        # the ones logged so far.  grad_enc and grad_dec view its two parts.
-        window, n_enc = config.grad_window, hidden * dim
-        self.grad = grad = np.zeros((window, n_enc + hidden))
-        self.grad_enc = grad_enc = grad[:, :n_enc].reshape(window, hidden, dim)
-        self.grad_dec = grad_dec = grad[:, n_enc:]
+        # The gradient window: the last grad_rows rows of grad, oldest first,
+        # are the periods logged so far (at most grad_window), and grad_enc and
+        # grad_dec view each row's two parts.  It starts at one row and doubles
+        # when full, up to grad_window rows, so its size follows the rows logged.
         self.grad_rows = 0
-        self._newest, self._newest_enc, self._newest_dec = grad[-1], grad_enc[-1], grad_dec[-1]
+        self._set_window(np.zeros((1, hidden * dim + hidden)), (hidden, dim))
         # the update's scratch row: the mean gradient of each matrix, then its step
+        n_enc = hidden * dim
         self._step = np.zeros(n_enc + hidden)
         self._step_enc = self._step[:n_enc].reshape(hidden, dim)
         self._step_dec = self._step[n_enc:]
+
+    def _set_window(self, grad: np.ndarray, enc_shape: tuple[int, int]) -> None:
+        """Make ``grad`` the gradient window, with ``grad_enc`` and ``grad_dec`` its views."""
+        hidden, dim = enc_shape
+        self.grad = grad
+        self.grad_enc = grad[:, :hidden * dim].reshape(len(grad), hidden, dim)
+        self.grad_dec = grad[:, hidden * dim:]
+
+    def _push_row(self) -> np.ndarray:
+        """Shift the logged rows of the window up by one, the oldest dropping
+        out once grad_window rows are logged; returns the freed last row."""
+        grad, rows, window = self.grad, self.grad_rows, self.config.grad_window
+        if rows < window:
+            if rows == len(grad):
+                grown = np.zeros((min(2 * rows, window), grad.shape[1]))
+                grown[-rows:] = grad
+                self._set_window(grown, self.grad_enc.shape[1:])
+                grad = grown
+            rows = self.grad_rows = rows + 1
+        n = len(grad)
+        grad[n - rows:n - 1] = grad[n - rows + 1:]
+        return grad[-1]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """One forward pass; rolls the current/previous snapshots."""
@@ -193,6 +214,11 @@ class MlpBidController:
         per-period response that actually reacts to the current adjustment.
         Swaps this period's response into ``resp_prev``; with none before it
         (the first period) it logs no gradient.
+
+        The decision layer's slope comes from ``s_curr``, the logistic value
+        that ``forward`` kept; a step of ``w_dec`` clears it, and then it is
+        computed afresh from ``w_dec`` and ``h_curr``.  Whoever writes
+        ``w_dec`` or ``h_curr`` by hand sets ``s_curr`` to None as well.
         """
         constraints, config = self.constraints, self.config
         resp = normalized_feedback(constraints, period)
@@ -211,20 +237,20 @@ class MlpBidController:
             product = (r - r_prev) * du
             sign = 1.0 if product > 0.0 else -1.0 if product < 0.0 else 0.0
             chain += 2.0 * c.error_weight * (x - z) * sign
-        # the logistic's slope at this period's activation, from forward's s:
+        # the logistic's slope at this period's activation:
         # du/dh = slope * w_dec and du/dw_dec = slope * h_curr
         s = self.s_curr
+        if s is None:
+            s = _sigmoid(float(self.w_dec @ self.h_curr))
         slope = config.u_max * (s * (1.0 - s))
         # Hebbian encoding-layer factor: the input scaled by the summed sign
         # correlations between hidden-unit deltas and du; np.sign gives only
         # -1, 0, 1 (or NaN), so the sum is exact in any order
         hebb = self.x_curr * sum(np.sign((self.h_curr - self.h_prev) * du).tolist())
-        grad = self.grad
-        grad[:-1] = grad[1:]  # the oldest row drops out
-        np.multiply((slope * self.w_dec)[:, None], hebb, self._newest_enc)
-        np.multiply(self.h_curr, slope, self._newest_dec)
-        self._newest *= chain
-        self.grad_rows = min(self.grad_rows + 1, len(grad))
+        newest = self._push_row()
+        np.multiply((slope * self.w_dec)[:, None], hebb, self.grad_enc[-1])
+        np.multiply(self.h_curr, slope, self.grad_dec[-1])
+        newest *= chain
 
     def _update(self) -> tuple[bool, bool]:
         """The update of apply_update and end_period: whether each matrix stepped."""
@@ -251,6 +277,7 @@ class MlpBidController:
             self.w_enc -= step_enc
         if dec_applied:
             self.w_dec -= step_dec
+            self.s_curr = None
         return enc_applied, dec_applied
 
     def apply_update(self) -> UpdateResult:

@@ -447,13 +447,32 @@ class TestBackward:
             assert state.grad_enc[row].tobytes() == g_enc.tobytes()
             assert state.grad_dec[row].tobytes() == g_dec.tobytes()
 
+    def test_after_a_step_the_slope_comes_from_the_stepped_weights(self):
+        # apply_update moves w_dec after forward; backward then computes the
+        # logistic afresh, as for a state whose w_dec was never stepped
+        config = MlpControllerConfig(hidden_dim=2, feature_set=FeatureSet.NONE,
+                                     learning_rate=0.5)
+        state = make_controller([[0.3, -0.2], [0.1, 0.4]], [0.5, -0.6], u_curr=0.7,
+                                u_prev=0.5, h_curr=[1.2, -0.3], h_prev=[0.8, 0.1],
+                                x_curr=[1.0, 0.5], resp_prev=[0.2], config=config)
+        period = feedback(conv=1, cost=9000)
+        state.backward(normalized_feedback(SINGLE, period), period)
+        assert state.apply_update().dec_applied
+        fresh = make_controller(state.w_enc, state.w_dec, u_curr=0.7, u_prev=0.5,
+                                h_curr=[1.2, -0.3], h_prev=[0.8, 0.1], x_curr=[1.0, 0.5],
+                                resp_prev=state.resp_prev, config=config)
+        later = feedback(conv=2, cost=30_000)
+        for controller in (state, fresh):
+            controller.backward(normalized_feedback(SINGLE, later), later)
+        for got, want in zip(newest_gradients(state), newest_gradients(fresh)):
+            assert got.tobytes() == want.tobytes()
+
 
 def log_gradients(state, *gradients) -> None:
     """Put ``(g_enc, g_dec)`` pairs in the window, oldest first, as backward would."""
     for g_enc, g_dec in gradients:
-        state.grad[:-1] = state.grad[1:]
+        state._push_row()
         state.grad_enc[-1], state.grad_dec[-1] = g_enc, g_dec
-    state.grad_rows = min(state.grad_rows + len(gradients), len(state.grad))
 
 
 class TestApplyUpdate:
@@ -563,6 +582,15 @@ class TestAgainstReferenceMlp:
         controller = lockstep_campaign(feature_set, 3, 1, BudgetErrorMode.FULL_BUDGET, 30.0,
                                        log_seed=11, rows=2000, period_bids=5)
         assert controller.zero_steps > 0
+
+    def test_window_far_longer_than_the_run_matches(self):
+        # a window no run fills, to average over all of history: the window
+        # array grows with the rows logged, never to grad_window rows
+        controller = lockstep_campaign(FeatureSet.FULL, 10**12, 4, BudgetErrorMode.FULL_BUDGET, 0.1,
+                                       log_seed=5, rows=3000, period_bids=5)
+        mlp = controller.mlp
+        assert mlp.grad_rows == controller.periods - 1 > 512
+        assert len(mlp.grad) < 2 * mlp.grad_rows
 
     def test_cancelling_window_matches(self):
         # opposite gradients in one window: the mean is exactly zero for the
