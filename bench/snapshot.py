@@ -34,14 +34,16 @@ SEEDS = tuple(range(10, 20))
 TRACE_RUNS = 3
 
 
-def export_tree(rev: str) -> Path:
-    """The committed files of ``rev`` unpacked under ``.bench_build/``."""
-    dest = BUILD / rev
+def export_tree(commit: str) -> Path:
+    """The committed files of ``commit``, a full hash, unpacked under
+    ``.bench_build/<commit>``; a hash names one tree, so an earlier export
+    of it is reused."""
+    dest = BUILD / commit
     if not (dest / "perfbench" / "run.py").is_file():
         shutil.rmtree(dest, ignore_errors=True)
         dest.mkdir(parents=True)
         with tempfile.TemporaryFile() as archive:
-            subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, stdout=archive,
+            subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, stdout=archive,
                            check=True)
             archive.seek(0)
             with tarfile.open(fileobj=archive) as tar:
@@ -95,7 +97,11 @@ def main(argv: list[str] | None = None) -> int:
     trace_seed = SEEDS[0]
     trees = {"current": ROOT}
     if args.baseline_rev:
-        trees["baseline"] = export_tree(args.baseline_rev)
+        # resolved once: a ref such as HEAD or a branch may move between runs
+        baseline = git("rev-parse", "--verify", "--quiet", args.baseline_rev + "^{commit}")
+        if not baseline:
+            raise SystemExit(f"--baseline-rev {args.baseline_rev!r} names no commit")
+        trees["baseline"] = export_tree(baseline)
 
     out = {"command": ["python3", "bench/snapshot.py", *(argv if argv is not None
                                                           else sys.argv[1:])],
@@ -106,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
                                  "modified": bool(git("status", "--porcelain",
                                                       "--untracked-files=no"))}}}
     if args.baseline_rev:
-        out["trees"]["baseline"] = {"commit": git("rev-parse", args.baseline_rev) or "unknown"}
+        out["trees"]["baseline"] = {"commit": baseline}
     for workload in (w["name"] for w in bench["workloads"]):
         runs: dict[str, list[dict]] = {side: [] for side in trees}
         pairs = []

@@ -152,7 +152,7 @@ class PeriodController(Protocol):
                    elapsed_fraction: float = 1.0) -> None: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodTrace:
     u: float
     feedback: PeriodFeedback      # cumulative through this period

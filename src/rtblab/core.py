@@ -99,7 +99,7 @@ class ConstraintSet:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodFeedback:
     """Counter snapshot: one period's deltas, or the running campaign total.
 

@@ -2,29 +2,30 @@
 
 The canonical log is a UTF-8 comma-delimited file with header
 ``ts,pctr,pcvr,market_price,click,conversion``: integer millisecond
-timestamps (nondecreasing), probabilities with up to six fraction digits,
-integer fen prices, 0/1 labels, each field ASCII with no ``_``
-separators.  ``BidLog.from_csv`` has three readers.  A file in the exact
-layout ``serialize_canonical`` writes (unsigned integers of 1-16 digits,
-rates as ``d.dddddd``, ``\\n`` after every row) is read in blocks by byte
-arithmetic, in memory of the columns plus one block.  Any other file is
-read columnar by numpy's C reader (given the path, so it reads the file
-in chunks) with whole-column checks, in memory proportional to the row
-count, from the first block that leaves the writer's layout: the rows of
-the blocks before it are kept, not parsed again.  ``convert_ipinyou``
-keeps field text verbatim, so a converted log is read by byte arithmetic
-only as far as its source text has the writer's layout.
+timestamps, rates with up to six fraction digits, integer fen prices and
+0/1 labels, each field ASCII with no ``_`` separators.  Its value rules
+are stated column-wise in ``BidLog``, which every log passes however it
+was read or built, and per row, with the line, in ``_parse_row``.
+``BidLog.from_csv`` has three readers; the first two only parse.  A file
+in the exact layout ``serialize_canonical`` writes (unsigned integers of
+1-16 digits, rates as ``d.dddddd``, ``\\n`` after every row) is read in
+blocks by byte arithmetic, in memory of the columns plus one block.  From
+the first block that leaves that layout, numpy's C reader reads the file
+columnar (given the path, so in chunks), in memory proportional to the
+row count; the rows of the blocks before it are kept.
+``convert_ipinyou`` keeps field text verbatim, so a converted log is read
+by byte arithmetic only as far as its source text has the writer's layout.
 ``parse_canonical`` is the streaming (constant-memory) parser and the
 error oracle: it yields each row as a ``(ts, pctr, pcvr, market_price,
-click, conversion)`` tuple, and any file numpy's reader rejects is re-read
-whole by it, which raises the first bad row with its line number.
-``serialize_canonical`` is the array writer: it writes the bytes of
-``"%d,%.6f,%.6f,%d,%d,%d"`` per row, but formats each chunk of rows as one
-byte array by numpy arithmetic.  The replay-facing ``BidLog`` is a
-column-oriented view built once per run.
+click, conversion)`` tuple.  A file numpy's reader rejects, or whose
+columns ``BidLog`` refuses, is re-read whole by it, which raises the
+first bad row with its line number.  ``serialize_canonical`` is the array
+writer: it writes the bytes of ``"%d,%.6f,%.6f,%d,%d,%d"`` per row, but
+formats each chunk of rows as one byte array by numpy arithmetic.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import warnings
@@ -37,7 +38,7 @@ from .core import ConfigurationError
 
 CANONICAL_HEADER = "ts,pctr,pcvr,market_price,click,conversion"
 _CANONICAL_FIELDS = CANONICAL_HEADER.split(",")
-# Labels are read as integers so that a 2 is rejected rather than cast to True.
+# Labels are read as integers so that BidLog can refuse a 2 rather than cast it to True.
 _CANONICAL_DTYPE = np.dtype([("ts", np.int64), ("pctr", np.float64), ("pcvr", np.float64),
                              ("market_price", np.int64), ("click", np.int64),
                              ("conversion", np.int64)])
@@ -57,7 +58,7 @@ _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _READ_BLOCK_BYTES = 1 << 21
 _WORD_PAD = 16
 _ROW_BYTES_MIN, _ROW_BYTES_MAX = 26, 56
-_COLUMN_DTYPES = (np.int64, np.float64, np.float64, np.int64, bool, bool)  # BidLog's
+_COLUMN_DTYPES = (np.int64, np.float64, np.float64, np.int64, np.uint8, np.uint8)  # digit labels
 # Digit words stay in uint64, every operand too (see _POW10).  _KEEP_LAST[L]
 # keeps the last L of a little-endian word's 8 bytes, its high bytes.
 _KEEP_LAST = np.array([(2**64 - 1) << 8 * (8 - L) & (2**64 - 1) for L in range(9)],
@@ -241,12 +242,10 @@ def _rates(words: np.ndarray) -> np.ndarray:
     return _eight_digits(digits).astype(np.float64) / 1e6
 
 
-def _writer_layout_rows(buf: np.ndarray, words: np.ndarray, stop: int,
-                        last_ts: int) -> tuple | None:
-    """The checked columns of the rows in ``buf[_WORD_PAD:stop]``, the last
-    ending in a newline, which follow a row of timestamp ``last_ts``; None
-    if a row is not in the layout ``serialize_canonical`` writes for a log
-    of 1-16 digit integers, or fails a predicate of ``_parse_row``."""
+def _writer_layout_rows(buf: np.ndarray, words: np.ndarray, stop: int) -> tuple | None:
+    """The columns of the rows in ``buf[_WORD_PAD:stop]``, the last ending in
+    a newline, the labels as digits; None if a row is not in the layout
+    ``serialize_canonical`` writes for a log of 1-16 digit integers."""
     block = buf[_WORD_PAD:stop]
     end = np.flatnonzero(block == ord("\n")) + _WORD_PAD
     dot = np.flatnonzero(block == ord(".")) + _WORD_PAD
@@ -265,13 +264,8 @@ def _writer_layout_rows(buf: np.ndarray, words: np.ndarray, stop: int,
             and all((buf[at] == ord(",")).all()
                     for at in (first, first + 9, first + 18, comma, end - 2))):
         return None
-    ts, price = _integers(words, first, ts_width), _integers(words, comma, price_width)
-    pctr, pcvr = _rates(words[first + 1]), _rates(words[first + 10])
-    click, conversion = buf[end - 3], buf[end - 1]
-    if not ((pctr <= 1.0).all() and (pcvr <= 1.0).all() and (click <= ord("1")).all()
-            and (conversion <= click).all() and ts[0] >= last_ts and (ts[1:] >= ts[:-1]).all()):
-        return None
-    return ts, pctr, pcvr, price, click == ord("1"), conversion == ord("1")
+    return (_integers(words, first, ts_width), _rates(words[first + 1]), _rates(words[first + 10]),
+            _integers(words, comma, price_width), buf[end - 3] - _ZERO, buf[end - 1] - _ZERO)
 
 
 @dataclass(frozen=True)
@@ -362,6 +356,11 @@ class SynthConfig:
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
 
 
+def _first(bad: np.ndarray) -> int | None:
+    """The index of the first true element of ``bad``, or None."""
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 class BidLog:
     """Column-oriented bid log: one numpy array per canonical field.
 
@@ -373,22 +372,35 @@ class BidLog:
     __slots__ = ("ts", "pctr", "pcvr", "market_price", "click", "conversion")
 
     def __init__(self, ts, pctr, pcvr, market_price, click, conversion):
-        self.ts = np.asarray(ts, dtype=np.int64)
-        self.pctr = np.asarray(pctr, dtype=np.float64)
-        self.pcvr = np.asarray(pcvr, dtype=np.float64)
-        self.market_price = np.asarray(market_price, dtype=np.int64)
-        self.click = np.asarray(click, dtype=bool)
-        self.conversion = np.asarray(conversion, dtype=bool)
+        # Every rule of a log, column-wise; _parse_row states them per row.
+        self.ts = np.asarray(ts, dtype=np.int64, order="C")
+        self.pctr = np.asarray(pctr, dtype=np.float64, order="C")
+        self.pcvr = np.asarray(pcvr, dtype=np.float64, order="C")
+        self.market_price = np.asarray(market_price, dtype=np.int64, order="C")
+        click, conversion = np.asarray(click), np.asarray(conversion)  # checked before the cast
+        shapes = [c.shape for c in (self.ts, self.pctr, self.pcvr, self.market_price,
+                                    click, conversion)]
+        if len(shapes[0]) != 1 or len(set(shapes)) != 1:
+            raise ConfigurationError(f"a log needs six 1-D columns of one length, not {shapes}")
         for name, column in (("pctr", self.pctr), ("pcvr", self.pcvr)):
-            outside = ~((column >= 0.0) & (column <= 1.0))  # NaN fails both
-            if outside.any():
-                row = int(np.argmax(outside))
+            if (row := _first(~((column >= 0.0) & (column <= 1.0)))) is not None:  # NaN fails both
                 raise ConfigurationError(f"predictions must lie in [0, 1], got "
                                          f"{name}={column[row]} at row {row}")
-        # The replay relies on both: cumulative cost never decreases within a
-        # batch, and its int64 cumulative sum cannot wrap around.
-        if np.any(self.market_price < 0):
-            raise ConfigurationError("market prices must be >= 0")
+        for name, column in (("click", click), ("conversion", conversion)):
+            if (row := _first((column != 0) & (column != 1))) is not None:
+                raise ConfigurationError(f"labels must be 0 or 1, got {name}={column[row]} "
+                                         f"at row {row}")
+        self.click, self.conversion = (np.asarray(c, bool, order="C") for c in (click, conversion))
+        if (row := _first(self.conversion & ~self.click)) is not None:
+            raise ConfigurationError(f"conversion without click at row {row}")
+        # The replay relies on all three: wall-clock periods search sorted timestamps,
+        # cumulative cost never decreases within a batch, and its int64 sum cannot wrap.
+        if (row := _first(self.ts[1:] < self.ts[:-1])) is not None:
+            raise ConfigurationError(f"timestamps must not decrease, got ts={self.ts[row + 1]} "
+                                     f"after {self.ts[row]} at row {row + 1}")
+        if (row := _first(self.market_price < 0)) is not None:
+            raise ConfigurationError(f"market prices must be >= 0, got {self.market_price[row]} "
+                                     f"at row {row}")
         n = len(self.market_price)
         top = int(self.market_price.max()) if n else 0
         if top * n > _INT64.max:
@@ -424,23 +436,25 @@ class BidLog:
     def from_csv(cls, path) -> "BidLog":
         """Read a canonical log file.  Rows in the layout
         :func:`serialize_canonical` writes are read block-wise by byte
-        arithmetic; the rest of the file, from the first block that leaves
-        that layout, goes to numpy's reader, and a file that one rejects is
+        arithmetic, the rest of the file from the first block that leaves
+        that layout by numpy's reader, and the columns make one ``BidLog``.
+        A file numpy's reader rejects, or whose log ``BidLog`` refuses, is
         re-read by :func:`parse_canonical`, whose verdict (the log, or the
         first bad row's ``LogFormatError``) is returned."""
         head, whole = cls._read_writer_layout(path)
-        log = cls(*head) if whole else cls._read_columns(path, head)
-        if log is None:
-            # surrogateescape: a byte that is not UTF-8 fails the field check of its line
-            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-                log = cls.from_records(parse_canonical(fh))
-        return log
+        columns = head if whole else cls._read_columns(path, head)
+        if columns is not None:
+            with contextlib.suppress(ConfigurationError):
+                return cls(*columns)
+        # surrogateescape: a byte that is not UTF-8 fails the field check of its line
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            return cls.from_records(parse_canonical(fh))
 
     @classmethod
     def _read_writer_layout(cls, path) -> tuple[list, bool]:
-        """The checked columns of the rows that start ``path`` in the exact
-        layout of :func:`serialize_canonical`, its integers unsigned and of
-        1-16 digits, and whether they are all of its rows.
+        """The columns of the rows that start ``path`` in the exact layout of
+        :func:`serialize_canonical`, its integers unsigned and of 1-16
+        digits, the labels as digits, and whether they are all of its rows.
 
         Each block read is cut after its last newline, and the rest carried
         into the next, so the memory is the columns plus one block.  A row's
@@ -466,7 +480,7 @@ class BidLog:
                 rest = window + newlines[-1] + 1 if len(newlines) else _WORD_PAD
                 carry = stop - rest
                 if rest > _WORD_PAD:
-                    rows = _writer_layout_rows(buf, words, rest, columns[0][n - 1] if n else 0)
+                    rows = _writer_layout_rows(buf, words, rest)
                     whole = rows is not None and n + len(rows[0]) <= rows_max
                     if not whole:
                         break
@@ -487,10 +501,10 @@ class BidLog:
             column.resize(n, refcheck=False)  # in place: no view of it was kept
         return columns, whole and not carry  # a carry is a last row with no newline
 
-    @classmethod
-    def _read_columns(cls, path, head: list) -> "BidLog | None":
-        """Parse and check a canonical log column-wise, past the rows whose
-        checked columns ``head`` holds; None if any check fails."""
+    @staticmethod
+    def _read_columns(path, head: list) -> list | None:
+        """The columns of a canonical log parsed column-wise, after the rows
+        whose columns ``head`` holds; None if numpy's reader rejects it."""
         # numpy strips whitespace from around a field, and to it the
         # separators \x1c-\x1f and non-ASCII spaces are whitespace too
         with open(path, "rb") as fh:
@@ -511,23 +525,8 @@ class BidLog:
                                   skiprows=1 + len(head[0]), encoding="ascii", ndmin=1)
         except ValueError:
             return None
-        ts, pctr, pcvr = rows["ts"], rows["pctr"], rows["pcvr"]
-        price, click, conversion = rows["market_price"], rows["click"], rows["conversion"]
-        # The predicates of _parse_row, column-wise; NaN fails the range test.
-        valid = (np.all((pctr >= 0.0) & (pctr <= 1.0) & (pcvr >= 0.0) & (pcvr <= 1.0))
-                 and np.all(price >= 0)
-                 and np.all((click == 0) | (click == 1))
-                 and np.all((conversion == 0) | (conversion == 1))
-                 and np.all(conversion <= click)
-                 and np.all(ts[1:] >= ts[:-1]) and np.all(ts[:1] >= head[0][-1:]))
-        if not valid:
-            return None
-        columns = (np.ascontiguousarray(ts), np.ascontiguousarray(pctr),
-                   np.ascontiguousarray(pcvr), np.ascontiguousarray(price),
-                   click.astype(bool), conversion.astype(bool))
-        if len(head[0]):
-            columns = [np.concatenate(pair) for pair in zip(head, columns)]
-        return cls(*columns)
+        columns = [rows[name] for name in _CANONICAL_FIELDS]
+        return [np.concatenate(pair) for pair in zip(head, columns)] if len(head[0]) else columns
 
 
 def generate_synthetic(config: SynthConfig) -> BidLog:

@@ -381,13 +381,16 @@ _TIMESTAMPS = st.one_of(st.sampled_from([_INT64_MIN, _INT64_MAX, -1, 0, 9, 10]),
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_writer_matches_the_per_row_format(data):
+    # valid logs only: sorted timestamps, and a conversion only with a click
     n = data.draw(st.integers(0, 30), label="n")
     top = _INT64_MAX // max(n, 1)  # BidLog's int64-total rule
+    ts = sorted(data.draw(st.lists(_TIMESTAMPS, min_size=n, max_size=n), label="ts"))
     rows = data.draw(st.lists(st.tuples(
-        _TIMESTAMPS, _PREDICTIONS, _PREDICTIONS,
+        _PREDICTIONS, _PREDICTIONS,
         st.one_of(st.sampled_from([0, top]), st.integers(0, 10**6), st.integers(0, top)),
         st.booleans(), st.booleans()), min_size=n, max_size=n), label="rows")
-    log = BidLog.from_records(rows)
+    log = BidLog.from_records((t, pctr, pcvr, price, click, click and conversion)
+                              for t, (pctr, pcvr, price, click, conversion) in zip(ts, rows))
     buf = io.StringIO()
     serialize_canonical(log, buf)
     assert buf.getvalue() == canonical_text(log)
@@ -408,6 +411,76 @@ def test_log_with_a_negative_price_is_rejected():
     # the replay's budget search needs cumulative cost to never decrease
     with pytest.raises(ConfigurationError, match="market prices must be >= 0"):
         BidLog([1, 2], [0.1, 0.1], [0.1, 0.1], [5, -1], [0, 0], [0, 0])
+
+
+@pytest.mark.parametrize("click, conversion, shown", [
+    ([0, 2], [0, 0], "click=2 at row 1"), ([0.5, 0], [0, 0], "click=0.5 at row 0"),
+    ([1, 1], [0, math.nan], "conversion=nan at row 1"), ([1, 1], [-1, 0], "conversion=-1 at row 0"),
+])
+def test_log_with_a_label_other_than_0_or_1_is_rejected(click, conversion, shown):
+    # checked before the cast to bool, which used to turn a 2 into True
+    with pytest.raises(ConfigurationError) as err:
+        BidLog([1, 2], [0.5, 0.5], [0.5, 0.5], [5, 5], click, conversion)
+    assert str(err.value) == f"labels must be 0 or 1, got {shown}"
+
+
+def test_log_with_a_conversion_without_a_click_is_rejected():
+    with pytest.raises(ConfigurationError) as err:
+        BidLog([1, 2, 3], [0.5] * 3, [0.5] * 3, [5] * 3, [1, 0, 0], [1, 0, 1])
+    assert str(err.value) == "conversion without click at row 2"
+
+
+def test_log_with_a_decreasing_timestamp_is_rejected():
+    # the wall-clock replay's searchsorted needs sorted timestamps
+    with pytest.raises(ConfigurationError) as err:
+        BidLog([0, 10, 5, 20], [0.5] * 4, [0.5] * 4, [5] * 4, [0] * 4, [0] * 4)
+    assert str(err.value) == "timestamps must not decrease, got ts=5 after 10 at row 2"
+
+
+@pytest.mark.parametrize("columns, shapes", [
+    (([1, 2, 3], [0.5], [0.5], [1, 2, 3], [1, 1, 1], [0, 0, 0]),
+     "[(3,), (1,), (1,), (3,), (3,), (3,)]"),
+    (([[1, 2]], [[0.5, 0.5]], [[0.5, 0.5]], [[5, 5]], [[0, 0]], [[0, 0]]),
+     "[(1, 2), (1, 2), (1, 2), (1, 2), (1, 2), (1, 2)]"),
+    ((1, 0.5, 0.5, 5, 0, 0), "[(), (), (), (), (), ()]"),
+], ids=["mismatched-lengths", "2-D", "scalars"])
+def test_log_whose_columns_are_not_1d_of_one_length_is_rejected(columns, shapes):
+    # a mismatched log used to replay 3 bids with the predictions of 1
+    with pytest.raises(ConfigurationError) as err:
+        BidLog(*columns)
+    assert str(err.value) == f"a log needs six 1-D columns of one length, not {shapes}"
+
+
+@st.composite
+def _python_rows(draw):
+    """Rows of ints and floats, each of which may break a rule of a log."""
+    n = draw(st.integers(0, 5))
+    top = _INT64_MAX // max(n, 1)  # BidLog's int64-total rule, which no row states
+    ts = draw(st.lists(st.integers(-3, 3) | st.integers(_INT64_MIN, _INT64_MAX),
+                       min_size=n, max_size=n))
+    prediction = (st.floats(0.0, 1.0) | st.sampled_from([-0.0, 1.0, 1.5, -1e-9, math.nan])
+                  | st.floats() | st.integers(-1, 2))
+    label = st.sampled_from([0, 1]) | st.integers(-2, 3)
+    return [(t, draw(prediction), draw(prediction), draw(st.integers(-2, top)), draw(label),
+             draw(label)) for t in (sorted(ts) if draw(st.booleans()) else ts)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_python_rows())
+def test_a_log_built_in_python_is_refused_exactly_when_its_text_is(rows):
+    # BidLog states the rules column-wise and _parse_row per row; they must agree
+    text = HEADER + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    try:
+        list(parse_canonical(io.StringIO(text)))
+        text_refused = False
+    except LogFormatError:
+        text_refused = True
+    try:
+        BidLog.from_records(rows)
+        log_refused = False
+    except ConfigurationError:
+        log_refused = True
+    assert log_refused == text_refused
 
 
 @pytest.mark.parametrize("n, price, ok", [
