@@ -149,7 +149,7 @@ class PeriodController(Protocol):
 
     def begin_period(self) -> float: ...
     def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
-                   elapsed_fraction: float = 1.0) -> None: ...
+                   elapsed_fraction: float) -> None: ...
 
 
 @dataclass(frozen=True, slots=True)

@@ -71,7 +71,7 @@ class PidController:
         return self.step(self._ppc.normalized(self.cumulative) - 1.0)
 
     def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
-                   elapsed_fraction: float = 1.0) -> None:
+                   elapsed_fraction: float) -> None:
         self.cumulative = feedback
 
 
@@ -93,5 +93,5 @@ class FixedBidController:
         return self.u_const
 
     def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
-                   elapsed_fraction: float = 1.0) -> None:
+                   elapsed_fraction: float) -> None:
         pass

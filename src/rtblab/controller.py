@@ -146,9 +146,8 @@ class MlpBidController:
         self.w_dec = rng.uniform(-0.1, 0.1, size=hidden)
         self.u_curr = self.u_prev = config.u_max / 2.0
         self.h_curr = np.zeros(hidden)
-        # the logistic of w_dec @ h_curr, which forward keeps for backward;
-        # None when backward must compute it afresh
-        self.s_curr: Optional[float] = None
+        # the logistic value behind u_curr, which forward keeps for backward
+        self.s_curr = 0.5
         zero = PeriodFeedback()  # the cumulative feedback before the first period
         self.x_next = build_input(normalized_feedback(constraints, zero), zero, config.feature_set)
         # the previous period's own counters over targets, which the slope
@@ -203,7 +202,7 @@ class MlpBidController:
         return h, u
 
     def backward(self, xhat: Sequence[float], period: PeriodFeedback,
-                 elapsed_fraction: float = 1.0) -> None:
+                 elapsed_fraction: float) -> None:
         """Assemble the approximated gradients for both layers and log them
         as the newest row of the gradient window.
 
@@ -216,9 +215,7 @@ class MlpBidController:
         (the first period) it logs no gradient.
 
         The decision layer's slope comes from ``s_curr``, the logistic value
-        that ``forward`` kept; a step of ``w_dec`` clears it, and then it is
-        computed afresh from ``w_dec`` and ``h_curr``.  Whoever writes
-        ``w_dec`` or ``h_curr`` by hand sets ``s_curr`` to None as well.
+        that ``forward`` kept: the activation that produced the period's bid.
         """
         constraints, config = self.constraints, self.config
         resp = normalized_feedback(constraints, period)
@@ -240,8 +237,6 @@ class MlpBidController:
         # the logistic's slope at this period's activation:
         # du/dh = slope * w_dec and du/dw_dec = slope * h_curr
         s = self.s_curr
-        if s is None:
-            s = _sigmoid(float(self.w_dec @ self.h_curr))
         slope = config.u_max * (s * (1.0 - s))
         # Hebbian encoding-layer factor: the input scaled by the summed sign
         # correlations between hidden-unit deltas and du; np.sign gives only
@@ -277,7 +272,6 @@ class MlpBidController:
             self.w_enc -= step_enc
         if dec_applied:
             self.w_dec -= step_dec
-            self.s_curr = None
         return enc_applied, dec_applied
 
     def apply_update(self) -> UpdateResult:
@@ -291,7 +285,7 @@ class MlpBidController:
         return self.forward(self.x_next)[1]
 
     def end_period(self, feedback: PeriodFeedback, period: PeriodFeedback,
-                   elapsed_fraction: float = 1.0) -> None:
+                   elapsed_fraction: float) -> None:
         """Learn from the period just run, and read the next input off ``feedback``.
         The first period logs no gradient, so its update leaves both matrices as they are."""
         xhat = normalized_feedback(self.constraints, feedback)

@@ -56,9 +56,7 @@ class ConstraintSet:
     """Ordered KPI constraints plus the expected pay-per-conversion used in
     bid pricing.
 
-    At most one constraint of each kind is allowed.  The two stock shapes
-    are the single-constraint configuration (PPC target only) and the
-    multi-constraint configuration (PPC target followed by budget).
+    At most one constraint of each kind is allowed.
     """
 
     constraints: tuple[KpiConstraint, ...]
@@ -72,25 +70,6 @@ class ConstraintSet:
         for kind in KpiKind:
             if sum(1 for c in self.constraints if c.kind is kind) > 1:
                 raise ConfigurationError(f"at most one {kind.value} constraint allowed")
-
-    @classmethod
-    def single_ppc(cls, ppc_target: int, ppc_expected: int | None = None,
-                   ppc_weight: float = 1.0) -> "ConstraintSet":
-        return cls(
-            constraints=(KpiConstraint(KpiKind.PPC_TARGET, ppc_target, ppc_weight),),
-            ppc_expected=ppc_expected if ppc_expected is not None else ppc_target,
-        )
-
-    @classmethod
-    def ppc_and_budget(cls, ppc_target: int, budget: int, ppc_expected: int | None = None,
-                       ppc_weight: float = 1.0, budget_weight: float = 1.0) -> "ConstraintSet":
-        return cls(
-            constraints=(
-                KpiConstraint(KpiKind.PPC_TARGET, ppc_target, ppc_weight),
-                KpiConstraint(KpiKind.BUDGET, budget, budget_weight),
-            ),
-            ppc_expected=ppc_expected if ppc_expected is not None else ppc_target,
-        )
 
     def find(self, kind: KpiKind) -> Optional[KpiConstraint]:
         for c in self.constraints:

@@ -361,6 +361,23 @@ def _first(bad: np.ndarray) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
+def _int64_column(name: str, values, column: np.ndarray) -> np.ndarray:
+    """``column``, the array numpy made of ``values``, as int64.  An
+    integer-typed column whose values fit is cast, an int64 one taken as it
+    is.  Any other is read value by value, to name the first value that is
+    not an integer within int64: ``values`` itself unless it is an array,
+    since numpy makes floats of ``[-1, 2**63]``."""
+    if column.dtype.kind in "iu" and not (column.dtype == np.uint64
+                                          and column.max(initial=0) > _INT64.max):
+        return np.asarray(column, dtype=np.int64, order="C")
+    items = column if isinstance(values, np.ndarray) else values
+    for row, value in enumerate(items):
+        if not (isinstance(value, (int, np.integer)) and _INT64.min <= value <= _INT64.max):
+            raise ConfigurationError(f"timestamps and market prices must be integers that fit "
+                                     f"in int64, got {name}={value} at row {row}")
+    return np.asarray(items, dtype=np.int64)
+
+
 class BidLog:
     """Column-oriented bid log: one numpy array per canonical field.
 
@@ -373,15 +390,14 @@ class BidLog:
 
     def __init__(self, ts, pctr, pcvr, market_price, click, conversion):
         # Every rule of a log, column-wise; _parse_row states them per row.
-        self.ts = np.asarray(ts, dtype=np.int64, order="C")
-        self.pctr = np.asarray(pctr, dtype=np.float64, order="C")
-        self.pcvr = np.asarray(pcvr, dtype=np.float64, order="C")
-        self.market_price = np.asarray(market_price, dtype=np.int64, order="C")
-        click, conversion = np.asarray(click), np.asarray(conversion)  # checked before the cast
-        shapes = [c.shape for c in (self.ts, self.pctr, self.pcvr, self.market_price,
-                                    click, conversion)]
+        columns = [np.asarray(c) for c in (ts, pctr, pcvr, market_price, click, conversion)]
+        shapes = [c.shape for c in columns]
         if len(shapes[0]) != 1 or len(set(shapes)) != 1:
             raise ConfigurationError(f"a log needs six 1-D columns of one length, not {shapes}")
+        self.ts = _int64_column("ts", ts, columns[0])
+        self.pctr, self.pcvr = (np.asarray(c, np.float64, order="C") for c in columns[1:3])
+        self.market_price = _int64_column("market_price", market_price, columns[3])
+        click, conversion = columns[4:]  # checked before the cast
         for name, column in (("pctr", self.pctr), ("pcvr", self.pcvr)):
             if (row := _first(~((column >= 0.0) & (column <= 1.0)))) is not None:  # NaN fails both
                 raise ConfigurationError(f"predictions must lie in [0, 1], got "
@@ -534,13 +550,13 @@ def generate_synthetic(config: SynthConfig) -> BidLog:
     n = config.n_records
     rng = np.random.default_rng(config.seed)
     gaps = rng.integers(1, 100, size=n)
-    ts = np.cumsum(gaps, dtype=np.int64) if n else np.zeros(0, dtype=np.int64)
+    ts = np.cumsum(gaps, dtype=np.int64)
     price = np.rint(rng.lognormal(config.price_log_mean, config.price_log_sigma, size=n))
     if n and not float(price.max()) * n <= _INT64.max:  # BidLog's rule, before the cast can wrap
         raise ConfigurationError(f"price_log_mean {config.price_log_mean} and price_log_sigma "
                                  f"{config.price_log_sigma} draw market prices that could total "
                                  f"more than 2**63 - 1; lower them")
-    price = np.maximum(price, 0).astype(np.int64)
+    price = price.astype(np.int64)
     click = rng.random(n) < config.ctr_true
     conversion = click & (rng.random(n) < config.cvr_true)
     pctr = config.ctr_true * (1.0 + config.pctr_noise * rng.standard_normal(n))

@@ -14,7 +14,8 @@ from typing import Iterator
 
 import numpy as np
 
-from rtblab import BidLog, BudgetErrorMode, FeatureSet, KpiKind, PeriodFeedback
+from rtblab import (BidLog, BudgetErrorMode, ConstraintSet, FeatureSet, KpiConstraint, KpiKind,
+                    PeriodFeedback)
 from rtblab.data import CANONICAL_HEADER
 
 
@@ -152,6 +153,16 @@ def feedback(bids=0, imp=0, clk=0, conv=0, cost=0, sum_pctr=0.0, sum_pcvr=0.0) -
         bids_participated=bids, impressions=imp, clicks=clk, conversions=conv,
         cost=cost, sum_pctr=sum_pctr, sum_pcvr=sum_pcvr,
     )
+
+
+def ppc_constraints(ppc_target: int, *, ppc_expected: int, budget: int | None = None,
+                    ppc_weight: float = 1.0, budget_weight: float = 1.0) -> ConstraintSet:
+    """A PPC target, then a budget if one is given, with bids priced at
+    ``ppc_expected``."""
+    constraints = (KpiConstraint(KpiKind.PPC_TARGET, ppc_target, ppc_weight),)
+    if budget is not None:
+        constraints += (KpiConstraint(KpiKind.BUDGET, budget, budget_weight),)
+    return ConstraintSet(constraints, ppc_expected)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import numpy as np
 
 from rtblab import (
     BidLog,
-    ConstraintSet,
     ControllerSpec,
     ExperimentSpec,
     FeatureSet,
@@ -32,7 +31,8 @@ from rtblab import (
 )
 from rtblab.controller import normalized_feedback
 from rtblab.harness import spec_from_dict, spec_to_dict
-from support import max_price, partial_j1, partial_j2, records, sigmoid, sigmoid_layer_grads
+from support import (max_price, partial_j1, partial_j2, ppc_constraints, records, sigmoid,
+                     sigmoid_layer_grads)
 
 # conversion-dense monotone environment used by the closed-loop criteria
 DENSE_ENV = dict(ctr_true=0.6, cvr_true=0.8, price_log_mean=8.19, price_log_sigma=0.8,
@@ -93,7 +93,7 @@ def test_02_one_dimensional_chain_oracle():
         r = rng.uniform(0.1, 3.0)
         u_max = rng.uniform(0.5, 2.0)
         target = int(rng.integers(500, 5000))
-        constraints = ConstraintSet.single_ppc(target, ppc_weight=q)
+        constraints = ppc_constraints(target, ppc_expected=target, ppc_weight=q)
         config = MlpControllerConfig(hidden_dim=1, feature_set=FeatureSet.NONE,
                                      control_weight=r, u_max=u_max)
         cost_prev, conv_prev = int(rng.integers(0, 50_000)), int(rng.integers(0, 25))
@@ -112,7 +112,7 @@ def test_02_one_dimensional_chain_oracle():
         state.s_curr = sigmoid(wd * h)  # what forward would have kept for this state
         fb = PeriodFeedback(conversions=conv, cost=cost)
         period = PeriodFeedback(conversions=conv - conv_prev, cost=cost - cost_prev)
-        state.backward(normalized_feedback(constraints, fb), period)
+        state.backward(normalized_feedback(constraints, fb), period, 1.0)
         g_enc, g_dec = state.grad_enc[-1], state.grad_dec[-1]
 
         # independent fully written-out scalar chain
@@ -138,8 +138,7 @@ def test_02_one_dimensional_chain_oracle():
 
 def test_03_normalized_step_over_500_periods():
     log = generate_synthetic(SynthConfig(n_records=500_000, seed=77, **DENSE_ENV))
-    constraints = ConstraintSet.ppc_and_budget(4400, 10**12, ppc_expected=15,
-                                               budget_weight=0.05)
+    constraints = ppc_constraints(4400, budget=10**12, ppc_expected=15, budget_weight=0.05)
     controller = MlpBidController(constraints, MlpControllerConfig(rng_seed=3))
     sim = SimConfig(budget=10**12, period_bids=1000)
 
@@ -202,8 +201,7 @@ def test_04_budget_safety_over_random_campaigns():
         )
         log = generate_synthetic(synth)
         ppc_e = int(rng.integers(5, 2000))
-        constraints = ConstraintSet.single_ppc(int(rng.integers(500, 20_000)),
-                                               ppc_expected=ppc_e)
+        constraints = ppc_constraints(int(rng.integers(500, 20_000)), ppc_expected=ppc_e)
         budget = int(rng.integers(0, 400_000))
         p = float(rng.choice([0.0, 0.3, 0.7]))
         sim = SimConfig(budget=budget, period_bids=200, dropout_p=p,
@@ -250,7 +248,7 @@ def test_05_brute_force_replay_equivalence():
         u = float(rng.uniform(0.1, 1.5))
         ppc_e = int(rng.integers(10, 3000))
         budget = int(rng.integers(1000, 10_000_000))
-        constraints = ConstraintSet.single_ppc(1800, ppc_expected=ppc_e)
+        constraints = ppc_constraints(1800, ppc_expected=ppc_e)
         result = run_campaign(log, FixedBidController(u), constraints,
                               SimConfig(budget=budget, period_bids=128))
         # independent naive replay: no periods, no batching, no numpy
@@ -287,8 +285,8 @@ def test_06_closed_loop_ppc_tracking():
     for seed in range(20):
         log = generate_synthetic(SynthConfig(n_records=periods * per,
                                              seed=10_000 + seed, **DENSE_ENV))
-        constraints = ConstraintSet.ppc_and_budget(target, 3_000_000_000, ppc_expected=15,
-                                                   ppc_weight=1.0, budget_weight=0.05)
+        constraints = ppc_constraints(target, budget=3_000_000_000, ppc_expected=15,
+                                      ppc_weight=1.0, budget_weight=0.05)
         controller = MlpBidController(constraints, MlpControllerConfig(
             rng_seed=seed, learning_rate=0.02, u_max=1.5))
         result = run_campaign(log, controller, constraints,
@@ -309,7 +307,7 @@ def test_07_conversion_ordering_against_pid():
     for seed in range(20):
         log = generate_synthetic(SynthConfig(n_records=150_000, seed=30_000 + seed,
                                              **DENSE_ENV))
-        constraints = ConstraintSet.single_ppc(4400, ppc_expected=15)
+        constraints = ppc_constraints(4400, ppc_expected=15)
         sim = SimConfig(budget=25_000_000, period_bids=2000)
         mlp = run_campaign(log, MlpBidController(constraints,
                                                  MlpControllerConfig(rng_seed=seed)),
@@ -327,7 +325,7 @@ def test_08_sparsity_sweep_behavior(tmp_path):
     synth = SynthConfig(n_records=20_000, seed=4, **DENSE_ENV)
     spec = ExperimentSpec(
         controllers=(ControllerSpec(kind="mlp"),),
-        constraints=ConstraintSet.single_ppc(4400, ppc_expected=15),
+        constraints=ppc_constraints(4400, ppc_expected=15),
         sim=SimConfig(budget=12_000_000, period_bids=1000),
         synth=synth,
         trials=100,
@@ -363,7 +361,7 @@ def test_08_sparsity_sweep_behavior(tmp_path):
 def test_09_manifest_determinism(tmp_path):
     spec = ExperimentSpec(
         controllers=(ControllerSpec(kind="mlp"), ControllerSpec(kind="pid")),
-        constraints=ConstraintSet.ppc_and_budget(4400, 9_000_000, ppc_expected=15),
+        constraints=ppc_constraints(4400, budget=9_000_000, ppc_expected=15),
         sim=SimConfig(budget=9_000_000, period_bids=500, dropout_p=0.2),
         synth=SynthConfig(n_records=8000, seed=6, **DENSE_ENV),
         trials=2,
@@ -391,7 +389,7 @@ def test_09_manifest_determinism(tmp_path):
 
 def test_10_replay_throughput():
     log = generate_synthetic(SynthConfig(n_records=500_000, seed=1))
-    constraints = ConstraintSet.single_ppc(1800)
+    constraints = ppc_constraints(1800, ppc_expected=1800)
     sim = SimConfig(budget=10**13, period_bids=1000)
     run_campaign(log, FixedBidController(1.0), constraints, sim)  # warm-up
     t0 = time.perf_counter()

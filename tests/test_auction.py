@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rtblab import (
     BidLog,
     ConfigurationError,
-    ConstraintSet,
     FixedBidController,
     MlpBidController,
     MlpControllerConfig,
@@ -36,12 +35,13 @@ from support import (
     mask_dropout,
     max_price,
     naive_replay,
+    ppc_constraints,
     random_log,
     records,
     resolve_auction,
 )
 
-CONSTRAINTS = ConstraintSet.single_ppc(1800)
+CONSTRAINTS = ppc_constraints(1800, ppc_expected=1800)
 
 
 def record(price, pctr=0.1, pcvr=0.1, click=False, conversion=False, ts=0):
@@ -222,8 +222,8 @@ def test_trace_errors_and_cost_equal_array_oracles(seed, budget, weights):
     # the trace rows' floats are written to trace.csv by repr, so they must
     # be the same bits the array forms gave
     rng = np.random.default_rng(seed)
-    constraints = ConstraintSet.ppc_and_budget(1800, max(budget, 1), ppc_weight=weights[0],
-                                               budget_weight=weights[1])
+    constraints = ppc_constraints(1800, budget=max(budget, 1), ppc_expected=1800,
+                                  ppc_weight=weights[0], budget_weight=weights[1])
     controller = MlpBidController(constraints, MlpControllerConfig(rng_seed=seed))
     result = run_campaign(random_log(rng, 300), controller, constraints,
                           SimConfig(budget=budget, period_bids=int(rng.integers(1, 40))))
@@ -477,10 +477,10 @@ class TestControllerWiring:
                     if m == "rtblab.controller" or m.startswith("rtblab.controller.")]
 
     def test_paced_controller_runs_closed_loop(self):
-        from rtblab import BudgetErrorMode, ConstraintSet, MlpBidController, MlpControllerConfig
+        from rtblab import BudgetErrorMode, MlpBidController, MlpControllerConfig
 
         log = random_log(np.random.default_rng(59), 3000)
-        constraints = ConstraintSet.ppc_and_budget(1800, 40_000)
+        constraints = ppc_constraints(1800, budget=40_000, ppc_expected=1800)
         config = MlpControllerConfig(rng_seed=2, budget_error_mode=BudgetErrorMode.PACED)
         result = run_campaign(log, MlpBidController(constraints, config), constraints,
                               SimConfig(budget=40_000, period_bids=200))

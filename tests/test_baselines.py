@@ -16,9 +16,9 @@ from rtblab import (
     SimConfig,
     run_campaign,
 )
-from support import feedback, random_log
+from support import feedback, ppc_constraints, random_log
 
-SINGLE = ConstraintSet.single_ppc(1800)
+SINGLE = ppc_constraints(1800, ppc_expected=1800)
 
 
 def pid(config=None):
@@ -77,13 +77,13 @@ class TestPid:
         c = pid()
         # achieved PPC 3600 vs target 1800: error +1 lowers the multiplier
         fb = feedback(conv=1, cost=3600)
-        c.end_period(fb, fb)
+        c.end_period(fb, fb, 1.0)
         u = c.begin_period()
         assert u < 0.5
         c2 = pid()
         # under target raises it
         fb2 = feedback(conv=4, cost=3600)
-        c2.end_period(fb2, fb2)
+        c2.end_period(fb2, fb2, 1.0)
         u2 = c2.begin_period()
         assert u2 > 0.5
 

@@ -37,13 +37,14 @@ from support import (
     normalized_step_stacked,
     partial_j1,
     partial_j2,
+    ppc_constraints,
     random_log,
     sigmoid,
     sigmoid_layer_grads,
 )
 
-SINGLE = ConstraintSet.single_ppc(1800)
-MULTI = ConstraintSet.ppc_and_budget(1800, 100_000)
+SINGLE = ppc_constraints(1800, ppc_expected=1800)
+MULTI = ppc_constraints(1800, budget=100_000, ppc_expected=1800)
 
 
 def make_controller(w_enc, w_dec, u_curr=0.5, u_prev=0.5, h_curr=None, h_prev=None,
@@ -74,7 +75,7 @@ class TestBuildInput:
     def test_multi_on_target_half_budget(self):
         # 25 conversions at 50k fen: achieved PPC 2000 = target, spend = half budget
         fb = feedback(conv=25, cost=50_000)
-        constraints = ConstraintSet.ppc_and_budget(2000, 100_000)
+        constraints = ppc_constraints(2000, budget=100_000, ppc_expected=2000)
         x = build_input(normalized_feedback(constraints, fb), fb, FeatureSet.NONE)
         assert x.tolist() == [1.0, 1.0, 1.0, 0.5]
 
@@ -379,7 +380,7 @@ class TestBackward:
         state = make_controller([[0.1, 0.2]], [0.3], u_curr=0.5, u_prev=0.5,
                                 h_curr=[1.0], h_prev=[0.5], x_curr=[1.0, 1.0],
                                 resp_prev=[1.0], config=config)
-        state.backward(normalized_feedback(SINGLE, fb), feedback(conv=6, cost=10_800))
+        state.backward(normalized_feedback(SINGLE, fb), feedback(conv=6, cost=10_800), 1.0)
         assert state.grad_rows == 1
         g_enc, g_dec = newest_gradients(state)
         assert np.all(g_enc == 0.0) and np.all(g_dec == 0.0)
@@ -390,7 +391,7 @@ class TestBackward:
             q = rng.uniform(0.1, 3.0)
             r = rng.uniform(0.1, 3.0)
             u_max = rng.uniform(0.5, 2.0)
-            constraints = ConstraintSet.single_ppc(1800, ppc_weight=q)
+            constraints = ppc_constraints(1800, ppc_expected=1800, ppc_weight=q)
             config = MlpControllerConfig(hidden_dim=1, feature_set=FeatureSet.NONE,
                                          control_weight=r, u_max=u_max)
             cost_prev = int(rng.integers(0, 50_000))
@@ -406,7 +407,7 @@ class TestBackward:
                                     h_curr=[h], h_prev=[hp], x_curr=x,
                                     resp_prev=[resp_prev], constraints=constraints, config=config)
             xhat = normalized_feedback(constraints, feedback(conv=conv, cost=cost))
-            state.backward(xhat, feedback(conv=conv - conv_prev, cost=cost - cost_prev))
+            state.backward(xhat, feedback(conv=conv - conv_prev, cost=cost - cost_prev), 1.0)
             g_enc, g_dec = newest_gradients(state)
             ref_enc, ref_dec = hand_expanded_1d(q, r, 1800, cost, conv, cost_prev, conv_prev,
                                                 resp_prev, u, up, wd, h, hp, x, u_max)
@@ -415,14 +416,14 @@ class TestBackward:
 
     def test_vanishing_error_weight_leaves_control_term(self):
         q = 1e-300
-        constraints = ConstraintSet.single_ppc(1800, ppc_weight=q)
+        constraints = ppc_constraints(1800, ppc_expected=1800, ppc_weight=q)
         config = MlpControllerConfig(hidden_dim=1, feature_set=FeatureSet.NONE,
                                      control_weight=2.0)
         state = make_controller([[0.1, 0.1]], [0.4], u_curr=0.7, u_prev=0.5,
                                 h_curr=[1.2], h_prev=[0.8], x_curr=[1.0, 0.5],
                                 resp_prev=[0.2], constraints=constraints, config=config)
         state.backward(normalized_feedback(constraints, feedback(conv=1, cost=9000)),
-                       feedback(conv=1, cost=9000))
+                       feedback(conv=1, cost=9000), 1.0)
         g_enc, g_dec = newest_gradients(state)
         chain = partial_j2(2.0, 0.7, 0.5)
         du_dh, du_dwd = sigmoid_layer_grads(np.array([0.4]), np.array([1.2]), 1.0)
@@ -439,7 +440,7 @@ class TestBackward:
         logged = []
         for k in range(3):
             state.backward(normalized_feedback(SINGLE, feedback(conv=1, cost=9000 * (k + 1))),
-                           feedback(conv=1, cost=9000 * (k + 1)))
+                           feedback(conv=1, cost=9000 * (k + 1)), 1.0)
             logged.append(newest_gradients(state))
             assert state.grad_rows == min(k + 1, 2)
         assert state.grad_enc.shape == (2, 1, 2) and state.grad_dec.shape == (2, 1)
@@ -447,23 +448,26 @@ class TestBackward:
             assert state.grad_enc[row].tobytes() == g_enc.tobytes()
             assert state.grad_dec[row].tobytes() == g_dec.tobytes()
 
-    def test_after_a_step_the_slope_comes_from_the_stepped_weights(self):
-        # apply_update moves w_dec after forward; backward then computes the
-        # logistic afresh, as for a state whose w_dec was never stepped
+    def test_after_a_step_the_slope_still_comes_from_forward(self):
+        # apply_update moves w_dec after forward; backward still takes the
+        # logistic's slope at the activation forward computed for the bid
         config = MlpControllerConfig(hidden_dim=2, feature_set=FeatureSet.NONE,
                                      learning_rate=0.5)
         state = make_controller([[0.3, -0.2], [0.1, 0.4]], [0.5, -0.6], u_curr=0.7,
                                 u_prev=0.5, h_curr=[1.2, -0.3], h_prev=[0.8, 0.1],
                                 x_curr=[1.0, 0.5], resp_prev=[0.2], config=config)
+        kept = state.s_curr
         period = feedback(conv=1, cost=9000)
-        state.backward(normalized_feedback(SINGLE, period), period)
+        state.backward(normalized_feedback(SINGLE, period), period, 1.0)
         assert state.apply_update().dec_applied
+        assert state.s_curr == kept != sigmoid(float(state.w_dec @ state.h_curr))
         fresh = make_controller(state.w_enc, state.w_dec, u_curr=0.7, u_prev=0.5,
                                 h_curr=[1.2, -0.3], h_prev=[0.8, 0.1], x_curr=[1.0, 0.5],
                                 resp_prev=state.resp_prev, config=config)
+        fresh.s_curr = kept
         later = feedback(conv=2, cost=30_000)
         for controller in (state, fresh):
-            controller.backward(normalized_feedback(SINGLE, later), later)
+            controller.backward(normalized_feedback(SINGLE, later), later, 1.0)
         for got, want in zip(newest_gradients(state), newest_gradients(fresh)):
             assert got.tobytes() == want.tobytes()
 
@@ -745,7 +749,7 @@ def test_directional_sanity_under_budget_pressure():
         log = generate_synthetic(SynthConfig(
             n_records=10_000, ctr_true=0.12, cvr_true=0.3,
             price_log_mean=7.09, price_log_sigma=1.0, seed=1000 + seed))
-        constraints = ConstraintSet.ppc_and_budget(30_000, 60_000_000, ppc_expected=100)
+        constraints = ppc_constraints(30_000, budget=60_000_000, ppc_expected=100)
         controller = MlpBidController(constraints, MlpControllerConfig(rng_seed=seed))
         result = run_campaign(log, controller, constraints,
                               SimConfig(budget=60_000_000, period_bids=500))

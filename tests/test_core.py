@@ -9,7 +9,7 @@ from rtblab import (
     KpiKind,
     PeriodFeedback,
 )
-from support import BidRecord, adjusted_ecpm, feedback, kpi_ratio
+from support import BidRecord, adjusted_ecpm, feedback, kpi_ratio, ppc_constraints
 
 
 class TestFeedbackValue:
@@ -109,10 +109,10 @@ class TestValidation:
         assert str(exc.value) == message
 
     def test_stock_shapes(self):
-        single = ConstraintSet.single_ppc(1800)
+        single = ppc_constraints(1800, ppc_expected=1800)
         assert [c.kind for c in single.constraints] == [KpiKind.PPC_TARGET]
         assert single.ppc_expected == 1800
-        multi = ConstraintSet.ppc_and_budget(1800, 182_344)
+        multi = ppc_constraints(1800, budget=182_344, ppc_expected=1800)
         assert [c.kind for c in multi.constraints] == [KpiKind.PPC_TARGET, KpiKind.BUDGET]
         assert multi.find(KpiKind.BUDGET).target == 182_344
 

@@ -437,6 +437,34 @@ def test_log_with_a_decreasing_timestamp_is_rejected():
     assert str(err.value) == "timestamps must not decrease, got ts=5 after 10 at row 2"
 
 
+@pytest.mark.parametrize("ts, price, shown", [
+    ([1.7, 2.2], [5.9, 7.99], "ts=1.7 at row 0"),
+    ([1, 2], [5.9, 7.99], "market_price=5.9 at row 0"),
+    ([1, 2], [5.0, 7.0], "market_price=5.0 at row 0"),
+    (np.array([1.0, 2.0]), [5, 7], "ts=1.0 at row 0"),
+    ([1, 2], np.array([5, 2**63], dtype=np.uint64), "market_price=9223372036854775808 at row 1"),
+    ([1, 2], [5, math.nan], "market_price=nan at row 1"),
+    ([1, 2**64], [5, 7], "ts=18446744073709551616 at row 1"),
+    ([-1, 2**63], [5, 7], "ts=9223372036854775808 at row 1"),
+], ids=["fractional-ts", "fractional-prices", "integral-float-prices", "float-array-ts",
+        "uint64-price-past-int64", "nan-price", "ts-2**64", "ts-2**63-after-a-negative"])
+def test_log_whose_timestamps_or_prices_are_not_int64_integers_is_rejected(ts, price, shown):
+    # these used to be truncated (5.9 to 5), wrapped (2**63 to -2**63), or refused
+    # with numpy's own ValueError or OverflowError; the text readers refuse 5.0 too
+    with pytest.raises(ConfigurationError) as err:
+        BidLog(ts, [0.5, 0.5], [0.5, 0.5], price, [0, 0], [0, 0])
+    assert str(err.value) == ("timestamps and market prices must be integers that fit in int64, "
+                              f"got {shown}")
+
+
+def test_integer_columns_of_any_width_are_taken_and_int64_ones_as_they_are():
+    ts = np.array([1, 2], dtype=np.int64)
+    log = BidLog(ts, [0.5, 0.5], [0.5, 0.5], np.array([5, 7], dtype=np.uint64), [0, 0], [0, 0])
+    assert log.ts is ts
+    assert log.market_price.dtype == np.int64 and log.market_price.tolist() == [5, 7]
+    assert BidLog(*[()] * 6).ts.dtype == np.int64  # an empty column needs no integer type
+
+
 @pytest.mark.parametrize("columns, shapes", [
     (([1, 2, 3], [0.5], [0.5], [1, 2, 3], [1, 1, 1], [0, 0, 0]),
      "[(3,), (1,), (1,), (3,), (3,), (3,)]"),
@@ -456,13 +484,19 @@ def _python_rows(draw):
     """Rows of ints and floats, each of which may break a rule of a log."""
     n = draw(st.integers(0, 5))
     top = _INT64_MAX // max(n, 1)  # BidLog's int64-total rule, which no row states
-    ts = draw(st.lists(st.integers(-3, 3) | st.integers(_INT64_MIN, _INT64_MAX),
+    # timestamps and prices past int64, and floats, integral ones among them
+    past_int64 = st.integers(_INT64_MAX + 1, 2**70) | st.integers(-2**70, _INT64_MIN - 1)
+    not_int64 = past_int64 | st.floats() | st.integers(-3, 3).map(float)
+    ts = draw(st.lists(st.integers(-3, 3) | st.integers(_INT64_MIN, _INT64_MAX) | not_int64,
                        min_size=n, max_size=n))
     prediction = (st.floats(0.0, 1.0) | st.sampled_from([-0.0, 1.0, 1.5, -1e-9, math.nan])
                   | st.floats() | st.integers(-1, 2))
+    price = st.integers(-2, top) | not_int64
     label = st.sampled_from([0, 1]) | st.integers(-2, 3)
-    return [(t, draw(prediction), draw(prediction), draw(st.integers(-2, top)), draw(label),
-             draw(label)) for t in (sorted(ts) if draw(st.booleans()) else ts)]
+    if draw(st.booleans()):
+        ts = sorted(ts, key=lambda t: (math.isnan(t), t))  # any NaN last
+    return [(t, draw(prediction), draw(prediction), draw(price), draw(label), draw(label))
+            for t in ts]
 
 
 @settings(max_examples=300, deadline=None)

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from rtblab import (
     BidLog,
     ConfigurationError,
-    ConstraintSet,
     ControllerSpec,
     ExperimentSpec,
     FeatureSet,
@@ -49,13 +48,13 @@ from rtblab.cli import build_parser, main
 from rtblab.harness import (ABLATION_ORDER, CONTROLLER_KINDS, PRESETS, _metrics_row,
                             build_controller, derive_seed, levels_from_dict, spec_from_dict,
                             spec_to_dict)
-from support import StopAt, feedback, naive_replay, records
+from support import StopAt, feedback, naive_replay, ppc_constraints, records
 
-CONSTRAINTS = ConstraintSet.single_ppc(1800)
+CONSTRAINTS = ppc_constraints(1800, ppc_expected=1800)
 # The acceptance suite's dense environment, where the controllers have authority.
 DENSE_ENV = dict(ctr_true=0.6, cvr_true=0.8, price_log_mean=8.19, price_log_sigma=0.8,
                  pctr_noise=0.02, pcvr_noise=0.02)
-DENSE_CONSTRAINTS = ConstraintSet.single_ppc(4400, ppc_expected=15)
+DENSE_CONSTRAINTS = ppc_constraints(4400, ppc_expected=15)
 MLP_PID = (ControllerSpec(kind="mlp"), ControllerSpec(kind="pid"))
 # A config that runs; the error cases below replace one part of it.
 VALID_CONFIG = {
@@ -127,7 +126,8 @@ class TestRunExperiment:
 
     def test_spec_dict_round_trip(self, tmp_path):
         spec = small_spec(tmp_path, (ControllerSpec(kind="mlp", params={"hidden_dim": 4}),),
-                          constraints=ConstraintSet.ppc_and_budget(1800, 99_000, budget_weight=0.5))
+                          constraints=ppc_constraints(1800, budget=99_000, ppc_expected=1800,
+                                                      budget_weight=0.5))
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
     def test_multi_trial_dropout_varies_masks(self, tmp_path):
@@ -158,7 +158,7 @@ class TestRunExperiment:
 
     def test_trace_has_error_columns(self, tmp_path):
         spec = small_spec(tmp_path / "out", (ControllerSpec(kind="mlp"),),
-                          constraints=ConstraintSet.ppc_and_budget(1800, 100_000))
+                          constraints=ppc_constraints(1800, budget=100_000, ppc_expected=1800))
         paths = run_experiment(spec)
         lines = read(paths["trace"]).splitlines()
         assert lines[0] == "controller,trial,period,u,e_ppc,e_budget,j,conv,cost"
@@ -444,7 +444,7 @@ class TestEngineBytePins:
 
     @staticmethod
     def dense_spec(out_dir, controllers, **overrides):
-        kwargs = dict(constraints=ConstraintSet.ppc_and_budget(4400, 9_000_000, ppc_expected=15),
+        kwargs = dict(constraints=ppc_constraints(4400, budget=9_000_000, ppc_expected=15),
                       sim=SimConfig(budget=9_000_000, period_bids=500, dropout_p=0.3),
                       synth=SynthConfig(n_records=20_000, seed=11, **DENSE_ENV), trials=3)
         kwargs.update(overrides)
@@ -494,7 +494,7 @@ class TestFinePeriodBytePins:
         controllers = (ControllerSpec(kind="mlp", params={"feature_set": "full"}),
                        ControllerSpec(kind="pid"), ControllerSpec(kind="fixed"))
         spec = small_spec(tmp_path / "out", controllers,
-                          constraints=ConstraintSet.ppc_and_budget(4400, budget, ppc_expected=15),
+                          constraints=ppc_constraints(4400, budget=budget, ppc_expected=15),
                           sim=SimConfig(budget=budget, period_bids=10, dropout_p=0.2),
                           synth=SynthConfig(n_records=5000, seed=11, **DENSE_ENV), trials=2)
         paths = run_experiment(spec)
@@ -1323,7 +1323,7 @@ class TestCli:
         # ran; the ints in float fields were written as ints, and re-run as floats
         a, b = tmp_path / "a", tmp_path / "b"
         spec = small_spec(a, (controller,), trials=2,
-                          constraints=ConstraintSet.single_ppc(1800, ppc_weight=1),
+                          constraints=ppc_constraints(1800, ppc_expected=1800, ppc_weight=1),
                           sim=SimConfig(budget=np.int64(100_000), period_bids=100, dropout_p=0))
         paths = driver(spec, *levels)
         manifest = json.loads(read(paths["manifest"]))
